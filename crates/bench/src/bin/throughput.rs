@@ -6,8 +6,10 @@
 //! successive PRs can compare event-loop speed on identical input.
 //!
 //! Every cell is measured as a **same-run A/B** with interleaved samples:
-//! tape, pull, tape, pull… — the default batched event-tape delivery
-//! against per-event pull delivery forced through the builder. On shared
+//! tape, pull, tape, pull… — the session's batched event-tape delivery
+//! against the engine's per-event reference run
+//! ([`CompiledQuery::run`](flux::engine::CompiledQuery::run), which pulls
+//! and feeds every event and never skips at the reader). On shared
 //! single-core hosts noise arrives in waves longer than one sample, so
 //! back-to-back alternation (rather than all of one arm, then the other)
 //! exposes both arms to the same machine weather and keeps the ratio
@@ -22,13 +24,10 @@
 //! Honours the shared bench environment knobs (`FLUX_BENCH_SAMPLES`,
 //! `FLUX_BENCH_FAST=1` for the CI smoke run, which also shrinks the
 //! documents so the binary cannot bit-rot without burning CI minutes).
-//! Under `FLUX_FORCE_PULL=1` both arms run per-event and the speedup
-//! reads ~1.0 — the kill switch applies to benches too.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use flux::xml::DeliveryMode;
 use flux::{Engine, PreparedQuery};
 use flux_bench::micro::samples;
 use flux_bench::report::merge_throughput;
@@ -71,26 +70,20 @@ fn arm(doc: &str, events: u64, best: f64, worst: f64) -> Arm {
 /// measuring one arm's N samples and then the other's lets a wave skew a
 /// single arm and corrupt the ratio. Alternating exposes both arms to the
 /// same weather, so min-of-N catches the same quiet windows for each.
-fn measure_pair(
-    tape_q: &PreparedQuery,
-    pull_q: &PreparedQuery,
-    doc: &str,
-    events: u64,
-    n: usize,
-) -> (Arm, Arm) {
+fn measure_pair(q: &PreparedQuery, doc: &str, events: u64, n: usize) -> (Arm, Arm) {
     // Warmup passes (page the document in, size the reusable buffers).
-    tape_q.run_to(doc.as_bytes(), NullSink::default()).unwrap();
-    pull_q.run_to(doc.as_bytes(), NullSink::default()).unwrap();
+    q.run_to(doc.as_bytes(), NullSink::default()).unwrap();
+    q.compiled().run(doc.as_bytes(), NullSink::default()).unwrap();
     let (mut t_best, mut t_worst) = (f64::MAX, 0.0f64);
     let (mut p_best, mut p_worst) = (f64::MAX, 0.0f64);
     for _ in 0..n {
         let t = Instant::now();
-        tape_q.run_to(doc.as_bytes(), NullSink::default()).unwrap();
+        q.run_to(doc.as_bytes(), NullSink::default()).unwrap();
         let s = t.elapsed().as_secs_f64();
         t_best = t_best.min(s);
         t_worst = t_worst.max(s);
         let t = Instant::now();
-        pull_q.run_to(doc.as_bytes(), NullSink::default()).unwrap();
+        q.compiled().run(doc.as_bytes(), NullSink::default()).unwrap();
         let s = t.elapsed().as_secs_f64();
         p_best = p_best.min(s);
         p_worst = p_worst.max(s);
@@ -111,18 +104,15 @@ fn main() {
     let queries: Vec<_> =
         PAPER_QUERIES.iter().filter(|q| q.name == "Q1" || q.name == "Q20").collect();
 
-    let tape_engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
-    let pull_engine =
-        Engine::builder().dtd_str(XMARK_DTD).delivery(DeliveryMode::PerEvent).build().unwrap();
+    let engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
     let n = samples();
     let mut cells = Vec::new();
     for &size in sizes {
         let (doc, _) = generate_string(&XmarkConfig::new(size));
         for q in &queries {
-            let tape_q = tape_engine.prepare(q.source).unwrap();
-            let pull_q = pull_engine.prepare(q.source).unwrap();
-            let events = tape_q.run_to(doc.as_bytes(), NullSink::default()).unwrap().events;
-            let (tape, pull) = measure_pair(&tape_q, &pull_q, &doc, events, n);
+            let prepared = engine.prepare(q.source).unwrap();
+            let events = prepared.run_to(doc.as_bytes(), NullSink::default()).unwrap().events;
+            let (tape, pull) = measure_pair(&prepared, &doc, events, n);
             let cell = Cell {
                 query: q.name,
                 doc_bytes: doc.len(),

@@ -300,29 +300,21 @@ impl<S: Sink> Pump<S> {
     /// re-grant fails the restore with
     /// [`flux_state::StateError::BudgetDenied`] and charges nothing, so the
     /// caller can retry when headroom returns.
+    ///
+    /// With `pre_granted` the caller has already reserved the pump's
+    /// recorded charges through `hook` (e.g. by `try_grow`ing the
+    /// snapshot's BUDGET-section total before tearing the old pump down):
+    /// the rebuilt budget adopts the reservation instead of growing again,
+    /// so the restore cannot fail with `BudgetDenied` and the aggregate
+    /// accounting never dips or double-counts across the handoff.
     pub fn state_load(
         plan: Arc<CompiledQuery>,
         sink: S,
         hook: Option<Arc<dyn BudgetHook>>,
         dec: &mut flux_state::Dec<'_>,
+        pre_granted: bool,
     ) -> Result<Pump<S>, flux_state::StateError> {
-        let st = Machine::state_load(&plan, sink, hook, dec, false)?;
-        Ok(Pump { plan, st })
-    }
-
-    /// [`Pump::state_load`] for a caller that has already reserved the
-    /// pump's recorded charges through `hook` (e.g. by `try_grow`ing the
-    /// snapshot's BUDGET-section total before tearing the old pump down).
-    /// The rebuilt budget adopts the reservation instead of growing again,
-    /// so the restore cannot fail with `BudgetDenied` and the aggregate
-    /// accounting never dips or double-counts across the handoff.
-    pub fn state_load_pregranted(
-        plan: Arc<CompiledQuery>,
-        sink: S,
-        hook: Option<Arc<dyn BudgetHook>>,
-        dec: &mut flux_state::Dec<'_>,
-    ) -> Result<Pump<S>, flux_state::StateError> {
-        let st = Machine::state_load(&plan, sink, hook, dec, true)?;
+        let st = Machine::state_load(&plan, sink, hook, dec, pre_granted)?;
         Ok(Pump { plan, st })
     }
 }

@@ -47,7 +47,10 @@ use std::sync::Arc;
 
 use flux_core::FluxExpr;
 use flux_dtd::Dtd;
-use flux_xml::{EventTape, FeedSource, NameId, Reader, ResolvedEvent, Sink, Symbols, TapeKind};
+use flux_xml::{
+    EventTape, FeedSource, NameId, Reader, ResolvedEvent, Sink, SkipPoll, Symbols, TapeKind,
+    XmlError,
+};
 
 use crate::budget::BudgetHook;
 use crate::compile::{CBody, CHandler, CompiledQuery, EngineError, EngineOptions, Top};
@@ -140,6 +143,23 @@ impl FanoutPlan {
         }
         let matcher = SharedMatcher::build(&queries);
         Ok(FanoutPlan { dtd, symbols: union, opts, queries, matcher, reused })
+    }
+
+    /// The one-subscription plan of a single compiled query: its own
+    /// symbol table, nothing recompiled. This is what a single-query
+    /// session runs — a fan-out of one.
+    pub fn of_one(compiled: Arc<CompiledQuery>) -> FanoutPlan {
+        let queries = vec![compiled];
+        let matcher = SharedMatcher::build(&queries);
+        let q = &queries[0];
+        FanoutPlan {
+            dtd: q.dtd_arc(),
+            symbols: Arc::clone(q.symbols()),
+            opts: q.options(),
+            queries,
+            matcher,
+            reused: 1,
+        }
     }
 
     /// Number of subscriptions.
@@ -353,22 +373,14 @@ pub struct FanoutDriver<S: Sink> {
 
 impl<S: Sink> FanoutDriver<S> {
     /// A driver with one sink per subscription (same order as the plan).
-    pub fn new(plan: &FanoutPlan, sinks: Vec<S>) -> FanoutDriver<S> {
-        Self::build(plan, sinks, None)
-    }
-
-    /// A driver whose subscribers all charge the shared [`BudgetHook`] —
-    /// each pump charges and releases independently, so an aborted or
-    /// failed subscriber returns exactly its own bytes to the pool.
-    pub fn with_budget(
+    /// With a [`BudgetHook`] every subscriber charges it — each pump
+    /// charges and releases independently, so an aborted or failed
+    /// subscriber returns exactly its own bytes to the pool.
+    pub fn new(
         plan: &FanoutPlan,
         sinks: Vec<S>,
-        hook: Arc<dyn BudgetHook>,
+        hook: Option<Arc<dyn BudgetHook>>,
     ) -> FanoutDriver<S> {
-        Self::build(plan, sinks, Some(hook))
-    }
-
-    fn build(plan: &FanoutPlan, sinks: Vec<S>, hook: Option<Arc<dyn BudgetHook>>) -> Self {
         assert_eq!(sinks.len(), plan.len(), "one sink per subscription");
         let subs: Vec<Sub<S>> = sinks
             .into_iter()
@@ -451,6 +463,57 @@ impl<S: Sink> FanoutDriver<S> {
             i += 1;
         }
         scanned
+    }
+
+    /// While no subscriber is active, fast-forward the reader itself past
+    /// everything up to the end tag the deepest parked subscriber wakes
+    /// on ([`Reader::skip_events`]): no event is recorded, materialized or
+    /// dispatched, only counted. `None` (the reader untouched) while some
+    /// subscriber is active or none is parked. On
+    /// [`SkipPoll::Closed`] that end tag is next — on `tape` when the
+    /// reader had already committed it — and the caller dispatches it
+    /// with the next batch; on [`SkipPoll::More`] the fed bytes ran out
+    /// inside the skipped subtree.
+    pub fn skip_parked(
+        &mut self,
+        reader: &mut Reader<FeedSource>,
+        tape: &mut EventTape,
+    ) -> Result<Option<SkipPoll>, XmlError> {
+        if !self.active.is_empty() {
+            return Ok(None);
+        }
+        let Some(wake) = self.wake.iter().rposition(|b| !b.is_empty()) else {
+            return Ok(None);
+        };
+        let wake = wake as u32;
+        let poll = reader.skip_events(self.depth - wake, tape)?;
+        let (events, open) = match poll {
+            SkipPoll::Closed { events } => (events, 1),
+            SkipPoll::More { events, depth } => (events, depth),
+        };
+        self.events += events;
+        self.depth = wake + open;
+        Ok(Some(poll))
+    }
+
+    /// Reconcile every parked pump with the events withheld from it so
+    /// far, leaving it parked: its skip depth and event counter then read
+    /// exactly as if it had been fed every event, so its saved state is
+    /// the state of a pump that never parked.
+    pub fn settle(&mut self) {
+        for (wake, bucket) in self.wake.iter().enumerate() {
+            for &i in bucket {
+                let sub = &mut self.subs[i as usize];
+                if let SubState::Parked { events_at_park } = &mut sub.state {
+                    let pump = sub.pump.as_mut().expect("parked subscriber keeps its pump");
+                    pump.fast_forward_skip_to(
+                        self.depth - wake as u32,
+                        self.events - *events_at_park,
+                    );
+                    *events_at_park = self.events;
+                }
+            }
+        }
     }
 
     /// Revive every subscriber parked at `wake_depth`, reconciling its
@@ -537,11 +600,6 @@ impl<S: Sink> FanoutDriver<S> {
         self.subs.is_empty()
     }
 
-    /// Events fed so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
     /// Subscribers currently fed every event (not parked, failed or
     /// detached).
     pub fn active_subscribers(&self) -> usize {
@@ -567,17 +625,27 @@ impl<S: Sink> FanoutDriver<S> {
         self.subs.iter().filter_map(|s| s.pump.as_ref()).map(Pump::budget_charged).sum()
     }
 
-    /// Has subscriber `i` failed on its own engine error?
+    /// Has subscriber `i` failed on its own engine error? (`false` for an
+    /// index out of range.)
     pub fn is_failed(&self, i: usize) -> bool {
-        matches!(self.subs[i].state, SubState::Failed)
+        self.subs.get(i).is_some_and(|s| matches!(s.state, SubState::Failed))
+    }
+
+    /// Subscriber `i`'s pump while it is live (active or parked).
+    pub fn live_pump(&self, i: usize) -> Option<&Pump<S>> {
+        let sub = self.subs.get(i)?;
+        match sub.state {
+            SubState::Active | SubState::Parked { .. } => sub.pump.as_ref(),
+            SubState::Failed | SubState::Detached => None,
+        }
     }
 
     /// Abort one subscriber mid-stream, recovering its sink as-is (no
     /// end-of-input epilogue). Its buffers and budget charges are released;
     /// the shared parse and every other subscriber are untouched. Returns
-    /// `None` if `i` was already aborted.
+    /// `None` if `i` was already aborted or is out of range.
     pub fn abort_sub(&mut self, i: usize) -> Option<S> {
-        let sub = &mut self.subs[i];
+        let sub = self.subs.get_mut(i)?;
         if matches!(sub.state, SubState::Detached) {
             return None;
         }
@@ -624,6 +692,31 @@ impl<S: Sink> FanoutDriver<S> {
                 }
             })
             .collect()
+    }
+
+    /// Rebuild a one-subscriber driver around a restored `pump`, `depth`
+    /// elements deep in the stream: the pump counts every event so far,
+    /// and one restored inside a subtree it skips is parked again. A pump
+    /// skipping deeper than the stream is open is refused as corrupt.
+    pub fn resume_one(
+        pump: Pump<S>,
+        depth: u32,
+    ) -> Result<FanoutDriver<S>, flux_state::StateError> {
+        if let StreamInterest::SkipSubtree { depth: skip } = pump.stream_interest() {
+            if skip > depth {
+                return Err(flux_state::StateError::Corrupt("skip deeper than the open elements"));
+            }
+        }
+        let events = pump.stats_so_far().events;
+        let mut driver = FanoutDriver {
+            subs: vec![Sub { pump: Some(pump), state: SubState::Active, error: None }],
+            active: vec![0],
+            wake: Vec::new(),
+            depth,
+            events,
+        };
+        driver.park_indifferent();
+        Ok(driver)
     }
 
     /// Serialize the complete fan-out state — every live subscriber's pump,
@@ -676,29 +769,12 @@ impl<S: Sink> FanoutDriver<S> {
     /// Budget re-grants happen per subscriber through `hook`; a denied
     /// re-grant fails the whole restore (already-granted subscribers
     /// release on drop, so the accounting stays balanced).
+    ///
+    /// With `pre_granted` the caller already reserved the snapshot's total
+    /// recorded charges through `hook` (see [`Pump::state_load`]): every
+    /// subscriber's budget adopts its share, so the restore cannot be
+    /// refused.
     pub fn state_load(
-        plan: &FanoutPlan,
-        sinks: Vec<Option<S>>,
-        hook: Option<Arc<dyn BudgetHook>>,
-        dec: &mut flux_state::Dec<'_>,
-    ) -> Result<FanoutDriver<S>, flux_state::StateError> {
-        Self::state_load_inner(plan, sinks, hook, dec, false)
-    }
-
-    /// [`FanoutDriver::state_load`] for a caller that already reserved the
-    /// snapshot's total recorded charges through `hook` — see
-    /// [`Pump::state_load_pregranted`]. Every subscriber's budget adopts
-    /// its share of the reservation, so the restore cannot be refused.
-    pub fn state_load_pregranted(
-        plan: &FanoutPlan,
-        sinks: Vec<Option<S>>,
-        hook: Option<Arc<dyn BudgetHook>>,
-        dec: &mut flux_state::Dec<'_>,
-    ) -> Result<FanoutDriver<S>, flux_state::StateError> {
-        Self::state_load_inner(plan, sinks, hook, dec, true)
-    }
-
-    fn state_load_inner(
         plan: &FanoutPlan,
         mut sinks: Vec<Option<S>>,
         hook: Option<Arc<dyn BudgetHook>>,
@@ -718,13 +794,15 @@ impl<S: Sink> FanoutDriver<S> {
             subs.push(match dec.get_u8()? {
                 0 => {
                     let sink = take_sink(&mut sinks)?;
-                    let pump = load_pump(Arc::clone(q), sink, hook.clone(), dec, pre_granted)?;
+                    let pump =
+                        Pump::state_load(Arc::clone(q), sink, hook.clone(), dec, pre_granted)?;
                     Sub { pump: Some(pump), state: SubState::Active, error: None }
                 }
                 1 => {
                     let events_at_park = dec.get_uint()?;
                     let sink = take_sink(&mut sinks)?;
-                    let pump = load_pump(Arc::clone(q), sink, hook.clone(), dec, pre_granted)?;
+                    let pump =
+                        Pump::state_load(Arc::clone(q), sink, hook.clone(), dec, pre_granted)?;
                     Sub {
                         pump: Some(pump),
                         state: SubState::Parked { events_at_park },
@@ -774,6 +852,12 @@ impl<S: Sink> FanoutDriver<S> {
         }
         let depth = u32::try_from(dec.get_uint()?)
             .map_err(|_| StateError::Corrupt("stream depth exceeds u32"))?;
+        // A subscriber wakes when the stream closes back to its bucket's
+        // depth, so a populated bucket lies strictly inside the open
+        // elements (the reader-level skip relies on it).
+        if wake.iter().enumerate().any(|(w, b)| !b.is_empty() && w as u64 >= u64::from(depth)) {
+            return Err(StateError::Corrupt("wake depth outside the open elements"));
+        }
         let events = dec.get_uint()?;
         Ok(FanoutDriver { subs, active, wake, depth, events })
     }
@@ -797,20 +881,6 @@ impl<S: Sink> FanoutDriver<S> {
                 }
             })
             .collect()
-    }
-}
-
-fn load_pump<S: Sink>(
-    plan: Arc<CompiledQuery>,
-    sink: S,
-    hook: Option<Arc<dyn BudgetHook>>,
-    dec: &mut flux_state::Dec<'_>,
-    pre_granted: bool,
-) -> Result<Pump<S>, flux_state::StateError> {
-    if pre_granted {
-        Pump::state_load_pregranted(plan, sink, hook, dec)
-    } else {
-        Pump::state_load(plan, sink, hook, dec)
     }
 }
 
@@ -845,7 +915,7 @@ mod tests {
 
     fn drive(plan: &FanoutPlan, doc: &str) -> Vec<Option<(Result<RunStats, EngineError>, String)>> {
         let sinks = (0..plan.len()).map(|_| StringSink::new()).collect();
-        let mut driver = FanoutDriver::new(plan, sinks);
+        let mut driver = FanoutDriver::new(plan, sinks, None);
         let mut reader =
             Reader::with_symbols(doc.as_bytes(), plan.options().reader, Arc::clone(plan.symbols()));
         while let Some(ev) = reader.next_resolved().unwrap() {
@@ -880,7 +950,7 @@ mod tests {
         let subs = vec![prep(&dtd, Q_BOOKS), prep(&dtd, Q_ARTICLES)];
         let plan = FanoutPlan::compile(&subs).unwrap();
         let sinks = vec![StringSink::new(), StringSink::new()];
-        let mut driver = FanoutDriver::new(&plan, sinks);
+        let mut driver = FanoutDriver::new(&plan, sinks, None);
         let mut reader =
             Reader::with_symbols(DOC.as_bytes(), plan.options().reader, Arc::clone(plan.symbols()));
         let mut saw_parked = false;
@@ -926,7 +996,7 @@ mod tests {
         let dtd = Arc::new(Dtd::parse(DTD).unwrap());
         let subs = vec![prep(&dtd, Q_BOOKS), prep(&dtd, Q_ARTICLES)];
         let plan = FanoutPlan::compile(&subs).unwrap();
-        let mut driver = FanoutDriver::new(&plan, vec![StringSink::new(), StringSink::new()]);
+        let mut driver = FanoutDriver::new(&plan, vec![StringSink::new(), StringSink::new()], None);
         let mut reader =
             Reader::with_symbols(DOC.as_bytes(), plan.options().reader, Arc::clone(plan.symbols()));
         let mut fed = 0;
@@ -956,7 +1026,7 @@ mod tests {
         // there and must report the same mid-element truncation an
         // independent run does.
         let doc = "<lib><article><headline>H</headline>";
-        let mut driver = FanoutDriver::new(&plan, vec![StringSink::new()]);
+        let mut driver = FanoutDriver::new(&plan, vec![StringSink::new()], None);
         let mut reader =
             Reader::with_symbols(doc.as_bytes(), plan.options().reader, Arc::clone(plan.symbols()));
         while let Ok(Some(ev)) = reader.next_resolved() {

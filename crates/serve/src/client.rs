@@ -288,49 +288,13 @@ impl Client {
 
     /// Collect messages until the run ends (`DONE` or `ERROR`).
     pub fn collect(&mut self) -> io::Result<Outcome> {
-        let mut out = Outcome::default();
-        loop {
-            match self.next_msg()? {
-                ServerMsg::Result(bytes) => out.output.extend_from_slice(&bytes),
-                ServerMsg::Done { events, output_bytes, scan, tape } => {
-                    out.done = Some((events, output_bytes));
-                    out.scan = scan;
-                    out.tape = tape;
-                    return Ok(out);
-                }
-                ServerMsg::AbortAck => {
-                    out.aborted = true;
-                    return Ok(out);
-                }
-                ServerMsg::Stalled { reason } => {
-                    out.stalls += 1;
-                    out.stall_reasons.push(reason);
-                }
-                ServerMsg::Resumed => out.resumes += 1,
-                // A scrape answer that outran a previous caller: not part
-                // of the run, skip it.
-                ServerMsg::Stats { .. } => {}
-                ServerMsg::Error { code, message } => {
-                    out.error = Some((code, message));
-                    return Ok(out);
-                }
-                ServerMsg::Snapshotted { token } => {
-                    out.snapshot = Some(token);
-                    return Ok(out);
-                }
-            }
-        }
+        Ok(self.collect_shared(1)?.pop().expect("one subscriber"))
     }
 
     /// Open `id`, stream `doc` in `chunk_size`-byte chunks, finish, and
     /// collect the whole exchange.
     pub fn run_document(&mut self, id: &str, doc: &[u8], chunk_size: usize) -> io::Result<Outcome> {
-        self.open(id)?;
-        for chunk in doc.chunks(chunk_size.max(1)) {
-            self.chunk(chunk)?;
-        }
-        self.finish()?;
-        self.collect()
+        Ok(self.run_document_shared(&[id], doc, chunk_size)?.pop().expect("one subscriber"))
     }
 
     /// Queue one `OPEN` per id: a shared fan-out run (the server parses the
@@ -343,17 +307,18 @@ impl Client {
         Ok(())
     }
 
-    /// Collect a shared fan-out run of `subs` subscribers: demultiplex the
-    /// subscriber-tagged `RESULT`/`DONE`/`ERROR` frames into one
-    /// [`Outcome`] per subscriber (in `OPEN` order), until every
-    /// subscriber has its terminal frame. `STALLED`/`RESUMED` are
-    /// connection-level — the shared parse pauses as a whole — and are
-    /// counted on every subscriber.
+    /// Collect a run of `subs` subscribers: demultiplex its
+    /// `RESULT`/`DONE`/`ERROR` frames — subscriber-tagged when `subs > 1`,
+    /// untagged for a run of one — into one [`Outcome`] per subscriber (in
+    /// `OPEN` order), until every subscriber has its terminal frame.
+    /// `STALLED`/`RESUMED` are connection-level — the shared parse pauses
+    /// as a whole — and are counted on every subscriber.
     ///
     /// A connection-level (untagged) `ERROR` ends every remaining
     /// subscriber with that error.
     pub fn collect_shared(&mut self, subs: usize) -> io::Result<Vec<Outcome>> {
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
+        let tagged = subs > 1;
         let mut outs = vec![Outcome::default(); subs];
         let mut open = vec![true; subs];
         while open.iter().any(|&o| o) {
@@ -377,7 +342,7 @@ impl Client {
                     outs.iter_mut().for_each(|o| o.snapshot = Some(token.clone()));
                     return Ok(outs);
                 }
-                FrameKind::Error if untagged_error(&payload, subs) => {
+                FrameKind::Error if !tagged || untagged_error(&payload, subs) => {
                     // Connection-fatal refusal (protocol/state/compile):
                     // one untagged frame answers the whole run.
                     let msg = decode_msg(kind, &payload)?;
@@ -390,15 +355,19 @@ impl Client {
                     return Ok(outs);
                 }
                 FrameKind::Result | FrameKind::Done | FrameKind::Error => {
-                    if payload.len() < 4 {
-                        return Err(bad("shared-mode frame shorter than its subscriber tag"));
-                    }
-                    let sub =
-                        u32::from_be_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
+                    let (sub, body) = if tagged {
+                        if payload.len() < 4 {
+                            return Err(bad("shared-mode frame shorter than its subscriber tag"));
+                        }
+                        let (tag, body) = payload.split_at(4);
+                        (u32::from_be_bytes(tag.try_into().expect("4 bytes")) as usize, body)
+                    } else {
+                        (0, &payload[..])
+                    };
                     if sub >= subs {
                         return Err(bad("subscriber tag out of range"));
                     }
-                    match decode_msg(kind, &payload[4..])? {
+                    match decode_msg(kind, body)? {
                         ServerMsg::Result(bytes) => outs[sub].output.extend_from_slice(&bytes),
                         ServerMsg::Done { events, output_bytes, scan, tape } => {
                             outs[sub].done = Some((events, output_bytes));

@@ -24,7 +24,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use flux::RuntimeId;
-use flux_xml::{ScanTelemetry, Sink, TapeTelemetry};
+use flux_engine::RunStats;
+use flux_xml::Sink;
 
 use crate::metrics::{Dir, ServeMetrics};
 use crate::poller::Interest;
@@ -144,12 +145,11 @@ pub(crate) struct Conn {
     /// `SNAPSHOT` records in the snapshot envelope so `RESUME` can
     /// recompile the same plan.
     pub(crate) run_ids: Vec<String>,
-    /// The live session's output seam (present from `OPEN` to the terminal
-    /// runtime event).
-    pub(crate) shared: Option<Arc<SharedOut>>,
-    /// Shared fan-out mode: one output seam per subscriber, drained into
-    /// subscriber-tagged `RESULT` frames. Empty in single mode.
-    pub(crate) multi: Vec<Arc<SharedOut>>,
+    /// The live session's output seams, one per subscriber in set order
+    /// (present from the seal to the terminal runtime event). A single
+    /// `OPEN` is a set of one whose frames stay untagged; with several,
+    /// every frame carries its subscriber index.
+    pub(crate) outs: Vec<Arc<SharedOut>>,
     /// The session is paused on the shared admission budget: reads are
     /// parked so the client's chunks queue in its own socket, not here.
     pub(crate) stalled: bool,
@@ -182,8 +182,7 @@ impl Conn {
             state: ConnState::Idle,
             pending_opens: Vec::new(),
             run_ids: Vec::new(),
-            shared: None,
-            multi: Vec::new(),
+            outs: Vec::new(),
             stalled: false,
             close_after_flush: false,
             peer_gone: false,
@@ -207,99 +206,70 @@ impl Conn {
         encode_frame(&mut self.out, kind, payload);
     }
 
-    /// Queue a structured `ERROR` frame.
+    /// Queue a structured, connection-level (untagged) `ERROR` frame.
     pub(crate) fn queue_error(&mut self, code: ErrorCode, message: &str) {
+        self.queue_error_sub(false, 0, code, message);
+    }
+
+    /// Queue one subscriber's frame: untagged for a run of one subscriber
+    /// (byte-identical to the pre-fan-out protocol), or — `tagged`, in a
+    /// run of several — with the payload prefixed by the 4-byte big-endian
+    /// subscriber index.
+    pub(crate) fn queue_sub(&mut self, tagged: bool, sub: usize, kind: FrameKind, payload: &[u8]) {
+        if !tagged {
+            self.queue(kind, payload);
+            return;
+        }
+        let mut framed = Vec::with_capacity(4 + payload.len());
+        framed.extend_from_slice(&(sub as u32).to_be_bytes());
+        framed.extend_from_slice(payload);
+        self.queue(kind, &framed);
+    }
+
+    /// Queue one subscriber's `DONE` frame for a completed run.
+    pub(crate) fn queue_done_finished(&mut self, tagged: bool, sub: usize, stats: &RunStats) {
+        let payload =
+            done_finished_payload(stats.events, stats.output_bytes, stats.scan, stats.tape);
+        self.queue_sub(tagged, sub, FrameKind::Done, &payload);
+    }
+
+    /// Queue one subscriber's structured `ERROR` frame.
+    pub(crate) fn queue_error_sub(
+        &mut self,
+        tagged: bool,
+        sub: usize,
+        code: ErrorCode,
+        message: &str,
+    ) {
         let mut payload = Vec::with_capacity(1 + message.len());
         payload.push(code.byte());
         payload.extend_from_slice(message.as_bytes());
-        self.queue(FrameKind::Error, &payload);
+        self.queue_sub(tagged, sub, FrameKind::Error, &payload);
     }
 
-    /// Queue the `DONE` frame for a completed run.
-    pub(crate) fn queue_done_finished(
-        &mut self,
-        events: u64,
-        output_bytes: u64,
-        scan: ScanTelemetry,
-        tape: TapeTelemetry,
-    ) {
-        let payload = done_finished_payload(events, output_bytes, scan, tape);
-        self.queue(FrameKind::Done, &payload);
-    }
-
-    /// Queue the `DONE` frame acknowledging an abort.
-    pub(crate) fn queue_done_aborted(&mut self) {
-        self.queue(FrameKind::Done, &[1]);
-    }
-
-    /// Queue a subscriber-tagged frame (shared fan-out mode): the payload
-    /// is prefixed with the 4-byte big-endian subscriber index.
-    pub(crate) fn queue_tagged(&mut self, sub: u32, kind: FrameKind, payload: &[u8]) {
-        let mut tagged = Vec::with_capacity(4 + payload.len());
-        tagged.extend_from_slice(&sub.to_be_bytes());
-        tagged.extend_from_slice(payload);
-        self.queue(kind, &tagged);
-    }
-
-    /// Queue a subscriber-tagged `ERROR` frame.
-    pub(crate) fn queue_error_tagged(&mut self, sub: u32, code: ErrorCode, message: &str) {
-        let mut payload = Vec::with_capacity(1 + message.len());
-        payload.push(code.byte());
-        payload.extend_from_slice(message.as_bytes());
-        self.queue_tagged(sub, FrameKind::Error, &payload);
-    }
-
-    /// Queue a subscriber-tagged finished-`DONE` frame.
-    pub(crate) fn queue_done_finished_tagged(
-        &mut self,
-        sub: u32,
-        events: u64,
-        output_bytes: u64,
-        scan: ScanTelemetry,
-        tape: TapeTelemetry,
-    ) {
-        self.queue_tagged(
-            sub,
-            FrameKind::Done,
-            &done_finished_payload(events, output_bytes, scan, tape),
-        );
-    }
-
-    /// Queue a subscriber-tagged aborted-`DONE` frame.
-    pub(crate) fn queue_done_aborted_tagged(&mut self, sub: u32) {
-        self.queue_tagged(sub, FrameKind::Done, &[1]);
+    /// Queue the `DONE` frames acknowledging the abort of a run of `subs`
+    /// subscribers.
+    pub(crate) fn queue_done_aborted(&mut self, subs: usize) {
+        for sub in 0..subs {
+            self.queue_sub(subs > 1, sub, FrameKind::Done, &[1]);
+        }
     }
 
     /// Drain the session's output into `RESULT` frames of at most
-    /// `frame_max` payload bytes each — untagged in single mode, tagged
-    /// per subscriber in shared mode.
+    /// `frame_max` payload bytes each, subscriber by subscriber — tagged
+    /// when the run has several (the tag rides inside the payload, so the
+    /// data slice shrinks by its 4 bytes to respect the cap).
     pub(crate) fn drain_results(&mut self, frame_max: usize) {
-        if !self.multi.is_empty() {
-            for sub in 0..self.multi.len() {
-                self.drain_sub(sub, frame_max);
+        let tagged = self.outs.len() > 1;
+        let step = if tagged { frame_max.saturating_sub(4) } else { frame_max }.max(1);
+        for sub in 0..self.outs.len() {
+            if self.outs[sub].len() == 0 {
+                continue;
             }
-            return;
-        }
-        let Some(shared) = &self.shared else { return };
-        if shared.len() == 0 {
-            return;
-        }
-        let bytes = shared.take();
-        for chunk in bytes.chunks(frame_max.max(1)) {
-            self.queue(FrameKind::Result, chunk);
-        }
-    }
-
-    /// Drain one shared-mode subscriber's output into tagged `RESULT`
-    /// frames. The tag rides inside the payload, so the data slice shrinks
-    /// by the tag's 4 bytes to respect the configured payload cap.
-    pub(crate) fn drain_sub(&mut self, sub: usize, frame_max: usize) {
-        if self.multi[sub].len() == 0 {
-            return;
-        }
-        let bytes = self.multi[sub].take();
-        for chunk in bytes.chunks(frame_max.saturating_sub(4).max(1)) {
-            self.queue_tagged(sub as u32, FrameKind::Result, chunk);
+            let bytes = self.outs[sub].take();
+            for chunk in bytes.chunks(step) {
+                self.queue_sub(tagged, sub, FrameKind::Result, chunk);
+            }
         }
     }
 

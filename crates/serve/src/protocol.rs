@@ -16,7 +16,7 @@
 //! | 0x06 | c→s | `RESUME`  | UTF-8 snapshot token — re-attach a suspended run |
 //! | 0x07 | c→s | `STATS`   | empty — scrape the server's metrics registry |
 //! | 0x81 | s→c | `RESULT`  | next bytes of the query output (any split) |
-//! | 0x82 | s→c | `DONE`    | 1 status byte (0 finished / 1 aborted); on 0: two u64-BE — events, output bytes — then scanner telemetry: 1 backend-code byte ([`Backend::code`](flux_xml::Backend::code)) + two u64-BE — fast-path bytes, general-path bytes — then tape telemetry: three u64-BE — batches drained, tape-delivered events, fast-forwarded events (all 0 under per-event delivery). Decoders accept the pre-tape 34-byte body for compatibility. |
+//! | 0x82 | s→c | `DONE`    | 1 status byte (0 finished / 1 aborted); on 0: two u64-BE — events, output bytes — then scanner telemetry: 1 backend-code byte ([`Backend::code`](flux_xml::Backend::code)) + two u64-BE — fast-path bytes, general-path bytes — then tape telemetry: three u64-BE — batches drained, tape-delivered events, fast-forwarded events. Decoders accept the pre-tape 34-byte body for compatibility. |
 //! | 0x83 | s→c | `STALLED` | 1 [`StallReason`] byte — the session paused on a shared resource; ease off. Pre-reason servers send an empty payload, which decodes as [`StallReason::Unknown`]. |
 //! | 0x84 | s→c | `RESUMED` | empty — the session is executing again |
 //! | 0x85 | s→c | `ERROR`   | 1 [`ErrorCode`] byte + UTF-8 message |
@@ -357,9 +357,9 @@ pub fn encode_error(out: &mut Vec<u8>, code: ErrorCode, message: &str) {
 /// The payload of a finished-run `DONE` frame: status 0, two u64-BE run
 /// counters, the scanner telemetry (backend code byte + two u64-BE
 /// per-path byte counters), then the delivery-tape telemetry (three
-/// u64-BE: batches, tape-delivered events, fast-forwarded events — all 0
-/// under per-event delivery). Shared fan-out prefixes this with a
-/// subscriber tag, so the body is built separately from the frame.
+/// u64-BE: batches, tape-delivered events, fast-forwarded events). Shared
+/// fan-out prefixes this with a subscriber tag, so the body is built
+/// separately from the frame.
 pub fn done_finished_payload(
     events: u64,
     output_bytes: u64,

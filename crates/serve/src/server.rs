@@ -11,12 +11,13 @@
 //! threads; the server thread only shovels bytes — which is why a single
 //! poll loop drives thousands of connections.
 //!
-//! Shared fan-out composes with all of it: a client sending several
-//! `OPEN`s before its first `CHUNK` gets them compiled (through a
-//! catalog-validated [`SubscriptionSet`] cache) into **one** shared
-//! session — the document is parsed once for all of them and every
-//! subscriber's `RESULT`/`DONE`/`ERROR` frames come back tagged with its
-//! subscriber index.
+//! Every run is one session shape with one output seam per subscriber. A
+//! client sending several `OPEN`s before its first `CHUNK` gets them
+//! compiled (through a catalog-validated [`SubscriptionSet`] cache) into
+//! **one** shared session — the document is parsed once for all of them
+//! and every subscriber's `RESULT`/`DONE`/`ERROR` frames come back tagged
+//! with its subscriber index. A single `OPEN` is a set of one, and its
+//! frames stay untagged.
 //!
 //! Admission control composes: configure a budget
 //! ([`ServerConfig::budget`]) and sessions that would outgrow the shared
@@ -472,13 +473,7 @@ impl Server {
                                 // ran, acknowledge each pending open directly.
                                 ConnState::Collecting => {
                                     let opens = std::mem::take(&mut conn.pending_opens);
-                                    if opens.len() == 1 {
-                                        conn.queue_done_aborted();
-                                    } else {
-                                        for sub in 0..opens.len() {
-                                            conn.queue_done_aborted_tagged(sub as u32);
-                                        }
-                                    }
+                                    conn.queue_done_aborted(opens.len());
                                     conn.state = ConnState::Idle;
                                 }
                                 ConnState::Rejected => conn.state = ConnState::Idle,
@@ -596,71 +591,9 @@ impl Server {
                     }
                 }
                 RuntimeEvent::Finished { id, result, sink } => {
-                    let token = self.by_session.remove(&id);
-                    drop(sink); // same SharedOut the connection holds
-                    if let Some(conn) = token.and_then(|t| self.conns.get_mut(&t)) {
-                        note_run_latency(&self.metrics, conn);
-                        conn.stalled = false;
-                        conn.state = ConnState::Idle;
-                        if conn.close_after_flush {
-                            // A fatal error already ended this stream on
-                            // the wire: the `ERROR` frame is the last word.
-                            conn.shared = None;
-                            continue;
-                        }
-                        conn.drain_results(self.cfg.result_frame_max);
-                        conn.shared = None;
-                        match result {
-                            Ok(stats) => {
-                                conn.queue_done_finished(
-                                    stats.events,
-                                    stats.output_bytes,
-                                    stats.scan,
-                                    stats.tape,
-                                );
-                            }
-                            Err(e) => {
-                                conn.queue_error(ErrorCode::Engine, &e.to_string());
-                            }
-                        }
-                    }
+                    self.finish_run(id, vec![(result, sink)]);
                 }
-                RuntimeEvent::FinishedShared { id, results } => {
-                    let token = self.by_session.remove(&id);
-                    if let Some(conn) = token.and_then(|t| self.conns.get_mut(&t)) {
-                        note_run_latency(&self.metrics, conn);
-                        conn.stalled = false;
-                        conn.state = ConnState::Idle;
-                        if conn.close_after_flush {
-                            conn.multi.clear();
-                            continue;
-                        }
-                        // Flush each subscriber's remaining output before
-                        // its terminal frame, so tagged RESULTs never trail
-                        // the tagged DONE.
-                        for sub in 0..conn.multi.len() {
-                            conn.drain_sub(sub, self.cfg.result_frame_max);
-                        }
-                        conn.multi.clear();
-                        for (sub, (result, sink)) in results.into_iter().enumerate() {
-                            drop(sink); // same SharedOut the connection held
-                            match result {
-                                Ok(stats) => conn.queue_done_finished_tagged(
-                                    sub as u32,
-                                    stats.events,
-                                    stats.output_bytes,
-                                    stats.scan,
-                                    stats.tape,
-                                ),
-                                Err(e) => conn.queue_error_tagged(
-                                    sub as u32,
-                                    ErrorCode::Engine,
-                                    &e.to_string(),
-                                ),
-                            }
-                        }
-                    }
-                }
+                RuntimeEvent::FinishedShared { id, results } => self.finish_run(id, results),
                 // The server never detaches individual subscribers (the
                 // wire protocol aborts whole runs), but the runtime API
                 // allows embedders to: tolerate the event.
@@ -674,25 +607,47 @@ impl Server {
                     let token = self.by_session.remove(&id);
                     if let Some(conn) = token.and_then(|t| self.conns.get_mut(&t)) {
                         conn.run_started = None; // aborted runs don't record latency
-                        conn.shared = None;
-                        let subs = conn.multi.len();
-                        conn.multi.clear();
+                        let subs = std::mem::take(&mut conn.outs).len();
                         conn.stalled = false;
                         let acked = matches!(conn.state, ConnState::Aborting(_));
                         conn.state = ConnState::Idle;
                         if acked && !conn.close_after_flush {
-                            if subs > 0 {
-                                for sub in 0..subs {
-                                    conn.queue_done_aborted_tagged(sub as u32);
-                                }
-                            } else {
-                                conn.queue_done_aborted();
-                            }
+                            conn.queue_done_aborted(subs.max(1));
                         }
                     }
                 }
             }
         }
+    }
+
+    /// A run completed: flush every subscriber's remaining output, then its
+    /// terminal frame — `DONE` with its statistics, or `ERROR` — so a
+    /// `RESULT` never trails its `DONE`.
+    #[allow(clippy::type_complexity)]
+    fn finish_run(
+        &mut self,
+        id: RuntimeId,
+        results: Vec<(Result<flux_engine::RunStats, flux::FluxError>, Option<FrameSink>)>,
+    ) {
+        let token = self.by_session.remove(&id);
+        let Some(conn) = token.and_then(|t| self.conns.get_mut(&t)) else { return };
+        note_run_latency(&self.metrics, conn);
+        conn.stalled = false;
+        conn.state = ConnState::Idle;
+        // After a fatal error the `ERROR` frame already ended this stream
+        // on the wire: it stays the last word.
+        if !conn.close_after_flush {
+            conn.drain_results(self.cfg.result_frame_max);
+            let tagged = results.len() > 1;
+            for (sub, (result, _)) in results.iter().enumerate() {
+                match result {
+                    Ok(stats) => conn.queue_done_finished(tagged, sub, stats),
+                    Err(e) => conn.queue_error_sub(tagged, sub, ErrorCode::Engine, &e.to_string()),
+                }
+            }
+        }
+        // The sinks are the same seams the connection held.
+        conn.outs.clear();
     }
 
     /// Move engine output from the shared buffers into `RESULT` frames.
@@ -753,12 +708,12 @@ impl Server {
     }
 }
 
-/// Seal a `Collecting` connection's pending opens into a session: a plain
-/// runtime session for one id, a shared fan-out session for several.
-/// Returns the session id, or `None` if compilation refused the set (the
-/// connection is left `Rejected` with the `ERROR` frame queued, exactly
-/// like an unknown-query refusal — the client's pipelined document frames
-/// are absorbed).
+/// Seal a `Collecting` connection's pending opens into a session with
+/// one output seam per subscriber: a query's own session for one id, a
+/// shared fan-out session for several. Returns the session id, or `None`
+/// if the ids were refused (the connection is left `Rejected` with the
+/// `ERROR` frame queued, exactly like an unknown-query refusal — the
+/// client's pipelined document frames are absorbed).
 fn seal(
     conn: &mut Conn,
     token: Token,
@@ -768,10 +723,10 @@ fn seal(
     by_session: &mut HashMap<RuntimeId, Token>,
 ) -> Option<RuntimeId> {
     let ids = std::mem::take(&mut conn.pending_opens);
-    if ids.len() == 1 {
-        // Single-query run: the classic untagged path, byte-identical on
-        // the wire to the pre-fan-out protocol.
-        let Some(q) = registry.get(&ids[0]).cloned() else {
+    let outs: Vec<Arc<SharedOut>> = (0..ids.len()).map(|_| SharedOut::new()).collect();
+    let mut sinks = outs.iter().map(|o| FrameSink(Arc::clone(o))).collect::<Vec<_>>();
+    let id = if ids.len() == 1 {
+        let Some(q) = registry.get(&ids[0]) else {
             conn.queue_error(
                 ErrorCode::UnknownQuery,
                 &format!("no query registered under id {:?}", ids[0]),
@@ -779,27 +734,18 @@ fn seal(
             conn.state = ConnState::Rejected;
             return None;
         };
-        let shared = SharedOut::new();
-        let id = runtime.open(&q, FrameSink(Arc::clone(&shared)));
-        conn.shared = Some(shared);
-        conn.run_ids = ids;
-        conn.run_started = Some(Instant::now());
-        conn.state = ConnState::Running(id);
-        by_session.insert(id, token);
-        return Some(id);
-    }
-    let set = match cached_set(registry, set_cache, &ids) {
-        Ok(set) => set,
-        Err(e) => {
-            conn.queue_error(ErrorCode::Engine, &e.to_string());
-            conn.state = ConnState::Rejected;
-            return None;
+        runtime.open(q, sinks.pop().expect("one seam"))
+    } else {
+        match cached_set(registry, set_cache, &ids) {
+            Ok(set) => runtime.open_shared(&set, sinks),
+            Err(e) => {
+                conn.queue_error(ErrorCode::Engine, &e.to_string());
+                conn.state = ConnState::Rejected;
+                return None;
+            }
         }
     };
-    let outs: Vec<Arc<SharedOut>> = (0..ids.len()).map(|_| SharedOut::new()).collect();
-    let sinks = outs.iter().map(|o| FrameSink(Arc::clone(o))).collect();
-    let id = runtime.open_shared(&set, sinks);
-    conn.multi = outs;
+    conn.outs = outs;
     conn.run_ids = ids;
     conn.run_started = Some(Instant::now());
     conn.state = ConnState::Running(id);
@@ -855,8 +801,7 @@ fn snapshot_run(
     // Flush the output streamed so far ahead of the marker frame, then
     // return the connection to idle — detached, it has no run.
     conn.drain_results(result_frame_max);
-    conn.shared = None;
-    conn.multi.clear();
+    conn.outs.clear();
     conn.stalled = false;
     conn.run_started = None; // the suspended run records at its resumed finish
     conn.state = ConnState::Idle;
@@ -908,18 +853,16 @@ fn resume_run(
         conn.queue_error(ErrorCode::Engine, "corrupt snapshot envelope");
         return;
     };
+    let outs: Vec<Arc<SharedOut>> = (0..ids.len()).map(|_| SharedOut::new()).collect();
     let attached = if ids.len() == 1 {
-        let Some(q) = registry.get(&ids[0]).cloned() else {
+        let Some(q) = registry.get(&ids[0]) else {
             conn.queue_error(
                 ErrorCode::Engine,
                 &format!("no query registered under id {:?}", ids[0]),
             );
             return;
         };
-        let shared = SharedOut::new();
-        runtime.attach(&q, FrameSink(Arc::clone(&shared)), state).inspect(|_| {
-            conn.shared = Some(shared);
-        })
+        runtime.attach(q, FrameSink(Arc::clone(&outs[0])), state)
     } else {
         let set = match cached_set(registry, set_cache, &ids) {
             Ok(set) => set,
@@ -928,15 +871,13 @@ fn resume_run(
                 return;
             }
         };
-        let outs: Vec<Arc<SharedOut>> = (0..ids.len()).map(|_| SharedOut::new()).collect();
         let sinks = outs.iter().map(|o| Some(FrameSink(Arc::clone(o)))).collect();
-        runtime.attach_shared(&set, sinks, state).inspect(|_| {
-            conn.multi = outs;
-        })
+        runtime.attach_shared(&set, sinks, state)
     };
     match attached {
         Ok(id) => {
             let _ = std::fs::remove_file(&path); // tokens are single-use
+            conn.outs = outs;
             conn.run_ids = ids;
             conn.run_started = Some(Instant::now());
             conn.state = ConnState::Running(id);
@@ -944,11 +885,7 @@ fn resume_run(
         }
         // Plan mismatch (the registry changed under the token), budget
         // refusal, corrupt state bytes: the file stays for a later retry.
-        Err(e) => {
-            conn.shared = None;
-            conn.multi.clear();
-            conn.queue_error(ErrorCode::Engine, &e.to_string());
-        }
+        Err(e) => conn.queue_error(ErrorCode::Engine, &e.to_string()),
     }
 }
 
@@ -1027,8 +964,7 @@ fn teardown(conn: &mut Conn, runtime: &mut Runtime<FrameSink>) {
     }
     // The `ERROR` frame is the stream's last word: drop the output seams so
     // result bytes the aborted run already produced cannot trail it.
-    conn.shared = None;
-    conn.multi.clear();
+    conn.outs.clear();
     conn.pending_opens.clear();
     conn.close_after_flush = true;
 }

@@ -89,16 +89,11 @@ fn concurrent_clients_with_tiny_chunks_match_one_shot_for_every_query() {
                 let scan = outcome.scan.expect("scanner telemetry in DONE");
                 assert_eq!(scan.backend, flux::xml::Scanner::detect().backend());
                 assert!(scan.fast_path_bytes + scan.general_path_bytes > 0, "{name}/{chunk_size}");
-                // …and the delivery-tape telemetry: under tape delivery
-                // every event travels a batch; under FLUX_FORCE_PULL the
-                // counters are present but zero.
+                // …and the delivery-tape telemetry: every event travels
+                // a batch.
                 let tape = outcome.tape.expect("tape telemetry in DONE");
-                if std::env::var_os("FLUX_FORCE_PULL").is_none_or(|v| v.is_empty()) {
-                    assert!(tape.batches > 0, "{name}/{chunk_size}");
-                    assert_eq!(tape.events, events, "{name}/{chunk_size}");
-                } else {
-                    assert_eq!((tape.batches, tape.events), (0, 0), "{name}/{chunk_size}");
-                }
+                assert!(tape.batches > 0, "{name}/{chunk_size}");
+                assert_eq!(tape.events, events, "{name}/{chunk_size}");
             }));
         }
     }

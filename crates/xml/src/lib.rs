@@ -70,6 +70,6 @@ pub use reader::{
 pub use scan::{Backend, ScanTelemetry, Scanner, ScannerChoice};
 pub use sink::{Sink, StringSink};
 pub use symbols::{NameId, Symbols};
-pub use tape::{DeliveryMode, EventTape, SkipScan, TapeKind, TapeTelemetry};
+pub use tape::{EventTape, TapeKind, TapeTelemetry};
 pub use tree::{Child, Node};
 pub use writer::Writer;

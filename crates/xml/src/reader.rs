@@ -31,7 +31,7 @@ use crate::evbuf::EventBuf;
 use crate::events::{Event, OwnedEvent, ResolvedEvent};
 use crate::scan::{ScanTelemetry, Scanner, ScannerChoice, StructuralIndex, BLOCK};
 use crate::symbols::{NameId, Symbols};
-use crate::tape::{DeliveryMode, EventTape, TapeKind, TAPE_BATCH_EVENTS};
+use crate::tape::{EventTape, TapeKind, TAPE_BATCH_EVENTS};
 use crate::xsax::converted_name_into;
 
 /// How the reader treats attributes in start tags.
@@ -61,11 +61,6 @@ pub struct ReaderOptions {
     /// Structural-scanner backend selection (see [`crate::scan`]); defaults
     /// to the best kernel the CPU supports.
     pub scanner: ScannerChoice,
-    /// Event delivery strategy (see [`crate::tape`]); defaults to batched
-    /// tape delivery. Like the scanner backend, this is a performance
-    /// knob, not a semantic one: the event stream, all errors, and all
-    /// snapshot bytes are identical across modes.
-    pub delivery: DeliveryMode,
 }
 
 /// Classification of parse failures.

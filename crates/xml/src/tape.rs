@@ -12,8 +12,10 @@
 //! fully-resolved events — interned [`NameId`]s plus payload spans — into a
 //! reusable [`EventTape`], and the consumer walks the batch with a tight
 //! index-advance loop. A consumer that wants to skip a subtree scans the
-//! recorded open/close kinds ([`EventTape::skip_scan`]) instead of stepping
-//! the parser event by event.
+//! recorded open/close kinds ([`EventTape::kind`]) instead of stepping the
+//! parser event by event — or, before a batch is even recorded, asks the
+//! reader to skip it structurally
+//! ([`Reader::skip_events`](crate::reader::Reader::skip_events)).
 //!
 //! # Lifecycle: anchor → batch → drain → rollback
 //!
@@ -47,59 +49,28 @@
 //! any snapshot point the tape is empty and the reader satisfies the same
 //! invariants as in pull mode. Serializing the tape would also pin a
 //! snapshot to transient window offsets. The tape is therefore a purely
-//! in-memory accelerator — snapshot bytes are identical across
-//! [`DeliveryMode`]s, and restoring under the opposite mode is always
-//! legal.
+//! in-memory accelerator: a snapshot records the same bytes a reader
+//! pulled event by event
+//! ([`poll_resolved`](crate::reader::Reader::poll_resolved)) would, the
+//! equivalence `tests/tape_equivalence.rs` pins at every offset.
 
 use crate::symbols::NameId;
-
-/// How a session delivers parser events to the engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DeliveryMode {
-    /// Batch events through an [`EventTape`] (the default).
-    #[default]
-    Tape,
-    /// Pull one event at a time through `poll_resolved`.
-    PerEvent,
-}
-
-impl DeliveryMode {
-    /// The mode actually in effect: `FLUX_FORCE_PULL` (any non-empty
-    /// value) forces [`DeliveryMode::PerEvent`] regardless of the builder
-    /// setting, mirroring the `FLUX_FORCE_SWAR` scanner kill switch.
-    #[inline]
-    pub fn resolved(self) -> DeliveryMode {
-        if force_pull() {
-            DeliveryMode::PerEvent
-        } else {
-            self
-        }
-    }
-}
-
-/// Cached `FLUX_FORCE_PULL` check (the environment cannot change
-/// mid-process in any way we support).
-fn force_pull() -> bool {
-    use std::sync::OnceLock;
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var_os("FLUX_FORCE_PULL").is_some_and(|v| !v.is_empty()))
-}
 
 /// Delivery-layer counters, threaded through run stats like
 /// `ScanTelemetry`.
 ///
-/// Like the scan counters, these are observability, not semantics: two
-/// runs that differ only in delivery mode produce equal stats, so the
-/// telemetry compares as always-equal and is never serialized into
-/// snapshots.
+/// Like the scan counters, these are observability, not semantics: a tape
+/// run and the engine's per-event reference run of the same document
+/// produce equal stats, so the telemetry compares as always-equal and is
+/// never serialized into snapshots.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TapeTelemetry {
-    /// Tape batches drained (0 in per-event mode).
+    /// Tape batches drained (0 for a run fed event by event).
     pub batches: u64,
     /// Events delivered via the tape.
     pub events: u64,
-    /// Events fast-forwarded by in-tape skip scans instead of per-event
-    /// dispatch.
+    /// Events fast-forwarded — scanned on the tape or skipped at the
+    /// reader — instead of dispatched.
     pub fast_forwarded: u64,
     /// Name resolutions answered by the `Symbols` quick table.
     pub quick_hits: u64,
@@ -111,8 +82,8 @@ pub struct TapeTelemetry {
     pub prescreen_misses: u64,
 }
 
-/// Telemetry never participates in stats equality: a forced-pull run and
-/// a tape run of the same document are the *same run* as far as tests and
+/// Telemetry never participates in stats equality: a per-event run and a
+/// tape run of the same document are the *same run* as far as tests and
 /// snapshot compatibility are concerned.
 impl PartialEq for TapeTelemetry {
     fn eq(&self, _: &TapeTelemetry) -> bool {
@@ -153,23 +124,10 @@ impl TapeItem {
     }
 }
 
-/// Outcome of an in-tape skip scan (see [`EventTape::skip_scan`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkipScan {
-    /// The close event that ends the subtree is at index `at`; `skipped`
-    /// events lie strictly inside (the close event itself is *not*
-    /// counted — it is delivered normally, matching the pull-mode
-    /// skip contract).
-    Close { at: usize, skipped: u64 },
-    /// The batch ended inside the subtree: all `skipped` remaining events
-    /// were inside it, and the skip is still `depth` levels deep.
-    Tail { depth: u32, skipped: u64 },
-}
-
 /// Soft batch size: small enough that items + payloads stay cache-warm
 /// through the drain, large enough to amortize the per-batch handshake.
-/// Skips spanning batches are handled by the `SkipScan::Tail` arm, so the
-/// cap costs nothing on large skipped subtrees.
+/// Skips spanning batches resume on the next batch, so the cap costs
+/// nothing on large skipped subtrees.
 pub(crate) const TAPE_BATCH_EVENTS: usize = 1024;
 
 /// Soft arena cap: a batch also ends once its copied payload bytes reach
@@ -279,62 +237,11 @@ impl EventTape {
         assert!(off + len <= u32::MAX as usize, "source window exceeds 4 GiB");
         self.items.push(TapeItem { kind, id, off: off as u32, len: len as u32, window: true });
     }
-
-    /// Scan forward from `from` for the close event that brings an active
-    /// skip of `depth` levels back to its parent frame. Text and start
-    /// events inside the subtree only bump counters; the caller
-    /// fast-forwards the consumer by `skipped` events in one call.
-    pub fn skip_scan(&self, from: usize, depth: u32) -> SkipScan {
-        let mut d = depth;
-        for (k, it) in self.items[from..].iter().enumerate() {
-            match it.kind {
-                TapeKind::Start => d += 1,
-                TapeKind::Text => {}
-                TapeKind::End => {
-                    if d == 1 {
-                        return SkipScan::Close { at: from + k, skipped: k as u64 };
-                    }
-                    d -= 1;
-                }
-            }
-        }
-        SkipScan::Tail { depth: d, skipped: (self.items.len() - from) as u64 }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tape_of(kinds: &[TapeKind]) -> EventTape {
-        let mut t = EventTape::new();
-        for &k in kinds {
-            match k {
-                TapeKind::Text => t.push_window(TapeKind::Text, NameId::UNKNOWN, 0, 0),
-                k => t.push_arena(k, NameId::UNKNOWN, "x"),
-            }
-        }
-        t
-    }
-
-    #[test]
-    fn skip_scan_finds_the_matching_close() {
-        use TapeKind::{End, Start, Text};
-        // <a> <b> t </b> </a>  — skip armed right after <a> at depth 1.
-        let t = tape_of(&[Start, Text, End, End]);
-        assert_eq!(t.skip_scan(0, 1), SkipScan::Close { at: 3, skipped: 3 });
-        // Already at the close.
-        assert_eq!(t.skip_scan(3, 1), SkipScan::Close { at: 3, skipped: 0 });
-    }
-
-    #[test]
-    fn skip_scan_reports_batch_tail_depth() {
-        use TapeKind::{Start, Text};
-        let t = tape_of(&[Start, Start, Text]);
-        // Still two levels deeper than the armed frame, three events in.
-        assert_eq!(t.skip_scan(0, 1), SkipScan::Tail { depth: 3, skipped: 3 });
-        assert_eq!(t.skip_scan(3, 7), SkipScan::Tail { depth: 7, skipped: 0 });
-    }
 
     #[test]
     fn arena_and_window_payloads_round_trip() {
@@ -351,14 +258,5 @@ mod tests {
         assert_eq!((tx.off, tx.len), (17, 4));
         t.clear();
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn forced_pull_resolution_is_stable() {
-        // Whatever the environment says, resolved() is deterministic and
-        // idempotent within a process.
-        let a = DeliveryMode::Tape.resolved();
-        assert_eq!(a, DeliveryMode::Tape.resolved());
-        assert_eq!(DeliveryMode::PerEvent.resolved(), DeliveryMode::PerEvent);
     }
 }

@@ -6,7 +6,9 @@
 //! table), and streams a generated XMark document through a single
 //! [`SharedSession`] — every subscriber gets exactly the bytes its own
 //! independent run would have produced, but the document is tokenized and
-//! walked once.
+//! walked once. The same session type runs a single query: a [`Session`]
+//! is a fan-out of one, so subscribers that all sit in subtrees they do
+//! not need are skipped at the tokenizer exactly as one query's are.
 //!
 //! ```text
 //! cargo run --example fanout

@@ -13,15 +13,22 @@
 //!   `Send + Sync`: one preparation serves any number of concurrent runs
 //!   or [`Session`](crate::Session)s. Each execution is a single pass over
 //!   the input with exactly the buffering the schedule proves necessary.
+//!   Preparation also builds the query's one-subscription plan, so
+//!   opening a session compiles nothing.
+//!
+//! Every execution travels one delivery path: the reader records events
+//! on a batched tape and the session drains it, skipping unhandled
+//! subtrees at the reader. [`CompiledQuery::run`] stays available as the
+//! engine-level reference that feeds every event one by one.
 
 use std::io::BufRead;
 use std::sync::Arc;
 
 use flux_core::{parse_flux, rewrite_query_with, FluxExpr, RewriteOptions};
 use flux_dtd::Dtd;
-use flux_engine::{BudgetHook, CompiledQuery, EngineOptions, RunOutcome, RunStats};
+use flux_engine::{BudgetHook, CompiledQuery, EngineOptions, FanoutPlan, RunOutcome, RunStats};
 use flux_query::{parse_xquery, Expr};
-use flux_xml::{AttributeMode, DeliveryMode, ScannerChoice, Sink, StringSink};
+use flux_xml::{AttributeMode, ScannerChoice, Sink, StringSink};
 
 use crate::error::FluxError;
 use crate::runtime::Session;
@@ -69,7 +76,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Report whitespace-only text nodes (default: off).
     /// Which structural-scanner backend the tokenizer uses (default:
     /// [`ScannerChoice::Auto`] — the best kernel the CPU supports, or SWAR
     /// when `FLUX_FORCE_SWAR` is set). Forcing a kernel the CPU lacks
@@ -79,17 +85,7 @@ impl EngineBuilder {
         self
     }
 
-    /// How resolved events travel from the tokenizer into the engine
-    /// (default: [`DeliveryMode::Tape`] — batched event-tape delivery).
-    /// Setting the `FLUX_FORCE_PULL` environment variable forces
-    /// [`DeliveryMode::PerEvent`] regardless of this option, mirroring
-    /// `FLUX_FORCE_SWAR` for the scanner. The mode is transparent: output,
-    /// statistics and snapshot bytes are identical either way.
-    pub fn delivery(mut self, mode: DeliveryMode) -> Self {
-        self.opts.reader.delivery = mode;
-        self
-    }
-
+    /// Report whitespace-only text nodes (default: off).
     pub fn keep_whitespace(mut self, keep: bool) -> Self {
         self.opts.reader.keep_whitespace = keep;
         self
@@ -168,8 +164,10 @@ impl Engine {
 
     /// Prepare an explicit FluX plan (checked for safety).
     pub fn prepare_flux(&self, plan: FluxExpr) -> Result<PreparedQuery, FluxError> {
-        let compiled = CompiledQuery::compile_with(&plan, Arc::clone(&self.dtd), self.opts)?;
-        Ok(PreparedQuery { compiled: Arc::new(compiled), plan: Arc::new(plan) })
+        let compiled =
+            Arc::new(CompiledQuery::compile_with(&plan, Arc::clone(&self.dtd), self.opts)?);
+        let single = Arc::new(FanoutPlan::of_one(Arc::clone(&compiled)));
+        Ok(PreparedQuery { compiled, plan: Arc::new(plan), single })
     }
 }
 
@@ -179,6 +177,8 @@ impl Engine {
 pub struct PreparedQuery {
     compiled: Arc<CompiledQuery>,
     plan: Arc<FluxExpr>,
+    /// The one-subscription plan every session of this query runs.
+    single: Arc<FanoutPlan>,
 }
 
 impl PreparedQuery {
@@ -203,17 +203,9 @@ impl PreparedQuery {
         self.run_bytes(doc.as_bytes())
     }
 
-    /// Execute over a complete byte slice, capturing the output.
-    ///
-    /// Under [`DeliveryMode::Tape`] (the default) the run is driven
-    /// through a [`Session`] so events travel the batched tape; under
-    /// [`DeliveryMode::PerEvent`] (or `FLUX_FORCE_PULL`) it takes the
-    /// classic per-event pull path. Output and statistics are identical.
+    /// Execute over a complete byte slice, capturing the output. The run
+    /// is driven through a [`Session`], so events travel the batched tape.
     pub fn run_bytes(&self, doc: &[u8]) -> Result<RunOutcome, FluxError> {
-        if self.compiled.options().reader.delivery.resolved() == DeliveryMode::PerEvent {
-            let (res, sink) = self.compiled.run_sink(doc, StringSink::new());
-            return Ok(RunOutcome { output: sink.into_string(), stats: res? });
-        }
         let mut session = self.session_string();
         session.feed(doc)?;
         let (res, sink) = session.finish_parts();
@@ -227,16 +219,12 @@ impl PreparedQuery {
     /// Execute over any buffered reader, streaming the output to a
     /// [`Sink`]. Nothing is collected unless the plan's buffer trees
     /// demand it; like [`PreparedQuery::run_bytes`] the run is routed
-    /// through the event tape unless delivery resolves to
-    /// [`DeliveryMode::PerEvent`].
+    /// through a [`Session`] and its event tape.
     pub fn run_to<R: BufRead, S: Sink>(
         &self,
         mut input: R,
         sink: S,
     ) -> Result<RunStats, FluxError> {
-        if self.compiled.options().reader.delivery.resolved() == DeliveryMode::PerEvent {
-            return Ok(self.compiled.run(input, sink)?);
-        }
         let mut session = self.session(sink);
         loop {
             let n = {
@@ -264,7 +252,7 @@ impl PreparedQuery {
     /// [`Shard`](crate::Shard)) or spread across cores
     /// ([`Runtime`](crate::Runtime)).
     pub fn session<S: Sink>(&self, sink: S) -> Session<S> {
-        Session::new(Arc::clone(&self.compiled), sink)
+        Session::new(Arc::clone(&self.single), sink, None)
     }
 
     /// A push session whose retained buffer bytes charge a shared budget —
@@ -275,7 +263,7 @@ impl PreparedQuery {
     /// [`FeedOutcome::Backpressure`](crate::FeedOutcome) and the session
     /// resumes once the pool frees (see [`crate::runtime`]).
     pub fn session_with_budget<S: Sink>(&self, sink: S, budget: Arc<dyn BudgetHook>) -> Session<S> {
-        Session::with_budget(Arc::clone(&self.compiled), sink, Some(budget))
+        Session::new(Arc::clone(&self.single), sink, Some(budget))
     }
 
     /// A push session capturing its output in memory.
@@ -298,7 +286,7 @@ impl PreparedQuery {
         sink: S,
         snapshot: &[u8],
     ) -> Result<Session<S>, FluxError> {
-        Session::restore(Arc::clone(&self.compiled), sink, None, snapshot, false)
+        Session::restore(Arc::clone(&self.single), sink, None, snapshot, false)
     }
 
     /// [`PreparedQuery::restore_session`] under admission control: the
@@ -312,7 +300,7 @@ impl PreparedQuery {
         budget: Arc<dyn BudgetHook>,
         snapshot: &[u8],
     ) -> Result<Session<S>, FluxError> {
-        Session::restore(Arc::clone(&self.compiled), sink, Some(budget), snapshot, false)
+        Session::restore(Arc::clone(&self.single), sink, Some(budget), snapshot, false)
     }
 
     /// The underlying compiled plan.
@@ -326,6 +314,10 @@ impl PreparedQuery {
 
     pub(crate) fn plan_arc(&self) -> Arc<FluxExpr> {
         Arc::clone(&self.plan)
+    }
+
+    pub(crate) fn plan_of_one(&self) -> Arc<FanoutPlan> {
+        Arc::clone(&self.single)
     }
 }
 

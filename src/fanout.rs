@@ -106,6 +106,10 @@ impl SubscriptionSet {
         &self.plan
     }
 
+    pub(crate) fn plan_arc(&self) -> Arc<FanoutPlan> {
+        Arc::clone(&self.plan)
+    }
+
     /// Was this set compiled from the catalog `registry` currently serves?
     /// `false` as soon as the registry is mutated after compilation — the
     /// signal to recompile a cached set.
@@ -119,7 +123,7 @@ impl SubscriptionSet {
     /// # Panics
     /// If `sinks.len() != self.len()`.
     pub fn session<S: Sink>(&self, sinks: Vec<S>) -> SharedSession<S> {
-        SharedSession::new(Arc::clone(&self.plan), sinks, None)
+        SharedSession::new(Arc::clone(&self.plan), sinks, None, false)
     }
 
     /// A shared session whose subscribers all charge `budget` — see
@@ -131,7 +135,7 @@ impl SubscriptionSet {
         sinks: Vec<S>,
         budget: Arc<dyn BudgetHook>,
     ) -> SharedSession<S> {
-        SharedSession::new(Arc::clone(&self.plan), sinks, Some(budget))
+        SharedSession::new(Arc::clone(&self.plan), sinks, Some(budget), false)
     }
 
     /// A shared session capturing every subscriber's output in memory.
@@ -151,7 +155,7 @@ impl SubscriptionSet {
         sinks: Vec<Option<S>>,
         snapshot: &[u8],
     ) -> Result<SharedSession<S>, FluxError> {
-        SharedSession::restore(Arc::clone(&self.plan), sinks, None, snapshot, false)
+        SharedSession::restore(Arc::clone(&self.plan), sinks, None, snapshot, false, false)
     }
 
     /// [`SubscriptionSet::restore_session`] under admission control: each
@@ -164,7 +168,7 @@ impl SubscriptionSet {
         budget: Arc<dyn BudgetHook>,
         snapshot: &[u8],
     ) -> Result<SharedSession<S>, FluxError> {
-        SharedSession::restore(Arc::clone(&self.plan), sinks, Some(budget), snapshot, false)
+        SharedSession::restore(Arc::clone(&self.plan), sinks, Some(budget), snapshot, false, false)
     }
 }
 

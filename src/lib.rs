@@ -101,7 +101,11 @@
 //! For content-based dissemination, a [`SubscriptionSet`] compiles many
 //! prepared queries into *one* shared single-pass plan and a
 //! [`SharedSession`] fans one parse of each document out to all of them —
-//! M subscriptions cost one tokenization, not M.
+//! M subscriptions cost one tokenization, not M. There is one session
+//! shape at every layer: a [`Session`] is a [`SharedSession`] with one
+//! subscriber, and every session delivers events the same way — batched
+//! on an event tape, with subtrees no subscriber needs skipped at the
+//! tokenizer.
 //! (The `flux-serve` crate puts a TCP front-end on the whole stack: a
 //! [`QueryRegistry`] of prepared queries served over a length-prefixed
 //! wire protocol, one `Runtime` behind the sockets.)
@@ -175,7 +179,7 @@ pub use flux_obs::{
 };
 pub use runtime::{
     AdmissionController, FeedOutcome, Finished, Runtime, RuntimeBuilder, RuntimeEvent, RuntimeId,
-    Session, SessionId, Shard, SharedSession, SharedSessionId, SuspendPolicy,
+    Session, SessionId, Shard, SharedSession, SuspendPolicy,
 };
 
 /// Convenient re-exports of the most used items.
@@ -185,7 +189,7 @@ pub mod prelude {
     pub use crate::fanout::SubscriptionSet;
     pub use crate::runtime::{
         AdmissionController, FeedOutcome, Finished, Runtime, RuntimeBuilder, RuntimeEvent,
-        RuntimeId, Session, SessionId, Shard, SharedSession, SharedSessionId, SuspendPolicy,
+        RuntimeId, Session, SessionId, Shard, SharedSession, SuspendPolicy,
     };
     pub use flux_baseline::{DomEngine, PreparedDomQuery, ProjectionMode};
     pub use flux_core::{rewrite_query, FluxExpr, Handler};

@@ -1,38 +1,41 @@
-//! The layered execution runtime: `Session` → [`Shard`] → [`Runtime`] →
+//! The layered execution runtime: session → [`Shard`] → [`Runtime`] →
 //! [`AdmissionController`].
 //!
-//! PR 3's sans-IO core made one execution a plain value: a [`Session`] is
-//! an incremental parser plus the engine's resumable state machine
+//! The sans-IO core makes one execution a plain value: an incremental
+//! parser plus the engine's resumable state machines
 //! ([`flux_engine::Pump`]), executing inline on whatever thread feeds it.
 //! This module stacks the layers that turn that property into a
-//! multi-core, memory-governed service runtime:
+//! multi-core, memory-governed service runtime. Every layer holds one
+//! session shape:
 //!
-//! * **[`Session`]** — one incremental execution of a
-//!   [`PreparedQuery`](crate::PreparedQuery). Push chunks with
-//!   [`Session::feed`], collect the result with [`Session::finish`].
-//!   Unchanged contract from the sans-IO PR; under admission control its
+//! * **[`SharedSession`]** — the one session implementation: one
+//!   incremental parse of one document dispatched to 1..M subscriptions
+//!   (a [`SubscriptionSet`](crate::SubscriptionSet) compiles M; a
+//!   [`PreparedQuery`](crate::PreparedQuery) is a set of one), each with
+//!   its own sink, statistics, budget charges and failure isolation. One
+//!   drain loop fills the event tape and dispatches it, and while every
+//!   subscriber is parked inside a subtree it does not need, the reader
+//!   skips that subtree structurally instead.
+//! * **[`Session`]** — the one-subscriber view of a [`SharedSession`].
+//!   Push chunks with [`Session::feed`], collect the result with
+//!   [`Session::finish`]; under admission control its
 //!   [`Session::feed_outcome`] additionally reports
-//!   [`FeedOutcome::Backpressure`].
-//! * **[`SharedSession`]** — the fan-out twin of [`Session`]: one
-//!   incremental parse of one document dispatched to M subscriptions
-//!   compiled together by a
-//!   [`SubscriptionSet`](crate::SubscriptionSet), each with its own sink,
-//!   statistics, budget charges and failure isolation. Shards address
-//!   shared sessions with generation-checked [`SharedSessionId`]s, and the
-//!   [`Runtime`] opens them with
-//!   [`Runtime::open_shared`](crate::Runtime::open_shared).
-//! * **[`Shard`]** — a single-threaded multiplexer of many live sessions
-//!   (the former `SessionSet`, slimmed to pure multiplexing):
-//!   generation-checked [`SessionId`]s, slot reuse, aggregate buffer
-//!   accounting. One shard comfortably drives tens of thousands of
-//!   sessions, because a session costs no thread and idles at the size of
-//!   its retained state.
+//!   [`FeedOutcome::Backpressure`]. The view owns no reader, tape or
+//!   gating code; its type pins exactly one sink.
+//! * **[`Shard`]** — a single-threaded multiplexer of many live sessions:
+//!   one slot store keyed by generation-checked [`SessionId`]s, slot
+//!   reuse, aggregate buffer accounting. One shard comfortably drives tens
+//!   of thousands of sessions, because a session costs no thread and
+//!   idles at the size of its retained state.
 //! * **[`Runtime`]** — N shards on N worker threads. New sessions are
 //!   placed on the least-loaded shard, addressed by generation-checked
 //!   global [`RuntimeId`]s, and driven through a poll-shaped API: commands
 //!   ([`Runtime::feed`], [`Runtime::finish`]) enqueue and return
 //!   immediately; completions, stalls and resumptions come back as
 //!   [`RuntimeEvent`]s ([`Runtime::poll_events`] / [`Runtime::wait_event`]).
+//!   A session opened with [`Runtime::open`] completes as
+//!   [`RuntimeEvent::Finished`], one opened with [`Runtime::open_shared`]
+//!   as [`RuntimeEvent::FinishedShared`]; that is the only difference.
 //!   [`Runtime::drain`] shuts the fleet down gracefully. The API is
 //!   deliberately poll-shaped so front-ends that must not block can sit
 //!   directly on top — the `flux-serve` crate's TCP server drives one
@@ -68,7 +71,7 @@ mod shared;
 pub use admission::AdmissionController;
 pub use rt::{Runtime, RuntimeBuilder, RuntimeEvent, RuntimeId, SuspendPolicy};
 pub use session::{Finished, Session};
-pub use shard::{SessionId, Shard, SharedSessionId};
+pub use shard::{SessionId, Shard};
 pub use shared::SharedSession;
 
 /// What [`Session::feed_outcome`] / [`Shard::feed`] did with a chunk.

@@ -56,27 +56,26 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use flux_engine::{
-    BudgetHook, BudgetObserver, BudgetWaker, CompiledQuery, FanoutPlan, ObservedHook, RunStats,
-};
+use flux_engine::{BudgetHook, BudgetObserver, BudgetWaker, FanoutPlan, ObservedHook, RunStats};
 use flux_obs::{Counter, Gauge, Histogram, MetricsRegistry, StallCause, TraceEvent, Tracer};
 use flux_xml::Sink;
 
 use crate::api::PreparedQuery;
 use crate::error::FluxError;
 use crate::fanout::SubscriptionSet;
-use crate::runtime::{AdmissionController, FeedOutcome, Session, SharedSession};
+use crate::runtime::{AdmissionController, FeedOutcome, SharedSession};
 
 /// When and where a [`Runtime`] spills idle sessions to disk.
 ///
 /// A session untouched for `idle_after` is serialized (the same
-/// `flux-state` bytes [`Session::snapshot`] produces), written to
-/// `dir/flux-session-<slot>-<gen>.state`, and the live value is dropped —
-/// releasing its buffers and its admission-budget charges while the sink
-/// and compiled plan stay resident. The next command touching the session
-/// restores it transparently and removes the file. Sessions still parked
-/// at shutdown are dropped with their worker and their files removed;
-/// aborting a parked session removes its file too.
+/// `flux-state` bytes [`Session::snapshot`](crate::Session::snapshot)
+/// produces), written to `dir/flux-session-<slot>-<gen>.state`, and the
+/// live value is dropped — releasing its buffers and its admission-budget
+/// charges while the sink and compiled plan stay resident. The next
+/// command touching the session restores it transparently and removes the
+/// file. Sessions still parked at shutdown are dropped with their worker
+/// and their files removed; aborting a parked session removes its file
+/// too.
 #[derive(Debug, Clone)]
 pub struct SuspendPolicy {
     /// Idle time (no feed/resume/finish touching the session) after which
@@ -99,7 +98,8 @@ pub struct RuntimeId {
 /// [`Runtime::poll_events`] / [`Runtime::wait_event`].
 #[derive(Debug)]
 pub enum RuntimeEvent<S> {
-    /// A [`Runtime::finish`] completed ([`Session::finish_parts`]
+    /// A [`Runtime::finish`] of a session opened with [`Runtime::open`]
+    /// completed ([`Session::finish_parts`](crate::Session::finish_parts)
     /// semantics: the sink comes back on success *and* on failure).
     Finished {
         /// Which session.
@@ -109,7 +109,8 @@ pub enum RuntimeEvent<S> {
         /// The session's sink with everything written so far.
         sink: Option<S>,
     },
-    /// A [`Runtime::finish`] of a shared fan-out session completed
+    /// A [`Runtime::finish`] of a session opened with
+    /// [`Runtime::open_shared`] completed
     /// ([`SharedSession::finish_parts`] semantics).
     FinishedShared {
         /// Which shared session.
@@ -127,16 +128,15 @@ pub enum RuntimeEvent<S> {
         id: RuntimeId,
     },
     /// A [`Runtime::abort_shared_sub`] completed: one subscriber of a
-    /// shared session detached mid-stream. The session itself stays live
-    /// (its slot retires on [`RuntimeEvent::FinishedShared`] /
-    /// [`RuntimeEvent::Aborted`]).
+    /// session detached mid-stream. The session itself stays live (its
+    /// slot retires on its finish event or [`RuntimeEvent::Aborted`]).
     SubAborted {
-        /// Which shared session.
+        /// Which session.
         id: RuntimeId,
         /// The subscriber index.
         sub: usize,
         /// Its sink with the output streamed so far (`None` if that
-        /// subscriber was already aborted).
+        /// subscriber was already aborted or the index is out of range).
         sink: Option<S>,
     },
     /// The session paused on the shared budget
@@ -182,11 +182,6 @@ enum Cmd<S: Sink> {
     Open {
         slot: u32,
         gen: u32,
-        session: Box<Session<S>>,
-    },
-    OpenShared {
-        slot: u32,
-        gen: u32,
         session: Box<SharedSession<S>>,
     },
     Feed {
@@ -202,7 +197,7 @@ enum Cmd<S: Sink> {
     Abort {
         slot: u32,
     },
-    /// Detach one subscriber of a shared session mid-stream.
+    /// Detach one subscriber of a session mid-stream.
     AbortSub {
         slot: u32,
         sub: usize,
@@ -214,7 +209,7 @@ enum Cmd<S: Sink> {
     /// the extraction, chunks fed after it enqueue on the target.
     Extract {
         slot: u32,
-        reply: Sender<Extracted<S>>,
+        reply: Sender<Entry<S>>,
     },
     /// Migration step 2 (target worker): install an extracted entry and
     /// resume it (a mid-migration serialized body restores immediately;
@@ -222,7 +217,7 @@ enum Cmd<S: Sink> {
     Adopt {
         slot: u32,
         shard: usize,
-        extracted: Extracted<S>,
+        entry: Entry<S>,
     },
     /// Spill one quiescent session to disk now (requires a
     /// [`SuspendPolicy`]).
@@ -233,21 +228,6 @@ enum Cmd<S: Sink> {
     /// payload — receiving any command re-runs the stalled retries.
     RetryStalled,
     Shutdown,
-}
-
-/// A session in transit between shards: everything its worker knew about
-/// it, with a resident body converted to snapshot bytes (a failed session
-/// refuses to serialize and crosses as a live value — its only remaining
-/// job is reporting its error at finish).
-struct Extracted<S: Sink> {
-    gen: u32,
-    body: Body<S>,
-    pending: VecDeque<Arc<[u8]>>,
-    pending_bytes: usize,
-    finishing: bool,
-    aborts: Vec<usize>,
-    opened: Instant,
-    stalled_since: Option<Instant>,
 }
 
 struct WorkerHandle<S: Sink> {
@@ -591,15 +571,11 @@ impl<S: Sink + Send + 'static> Runtime<S> {
         self.check(id)
     }
 
-    /// Open a session on the least-loaded worker.
+    /// Open a session on the least-loaded worker; its completion arrives
+    /// as [`RuntimeEvent::Finished`].
     pub fn open(&mut self, query: &PreparedQuery, sink: S) -> RuntimeId {
-        let session = match &self.budget {
-            Some(hook) => query.session_with_budget(sink, Arc::clone(hook)),
-            None => query.session(sink),
-        };
-        let (worker, slot, gen) = self.place();
-        self.send(worker, Cmd::Open { slot, gen, session: Box::new(session) });
-        RuntimeId { slot, gen }
+        let budget = self.budget.clone();
+        self.place_session(SharedSession::new(query.plan_of_one(), vec![sink], budget, true))
     }
 
     /// Open a shared fan-out session over a compiled [`SubscriptionSet`]
@@ -608,12 +584,13 @@ impl<S: Sink + Send + 'static> Runtime<S> {
     /// ordinary [`Runtime::feed`] / [`Runtime::finish`] / [`Runtime::abort`]
     /// commands; completion arrives as [`RuntimeEvent::FinishedShared`].
     pub fn open_shared(&mut self, set: &SubscriptionSet, sinks: Vec<S>) -> RuntimeId {
-        let session = match &self.budget {
-            Some(hook) => set.session_with_budget(sinks, Arc::clone(hook)),
-            None => set.session(sinks),
-        };
+        self.place_session(SharedSession::new(set.plan_arc(), sinks, self.budget.clone(), false))
+    }
+
+    /// Hand a session to the least-loaded worker under a fresh id.
+    fn place_session(&mut self, session: SharedSession<S>) -> RuntimeId {
         let (worker, slot, gen) = self.place();
-        self.send(worker, Cmd::OpenShared { slot, gen, session: Box::new(session) });
+        self.send(worker, Cmd::Open { slot, gen, session: Box::new(session) });
         RuntimeId { slot, gen }
     }
 
@@ -687,9 +664,12 @@ impl<S: Sink + Send + 'static> Runtime<S> {
         self.send(worker, Cmd::Abort { slot: id.slot });
     }
 
-    /// Detach one subscriber of a shared session mid-stream; its sink
-    /// comes back via [`RuntimeEvent::SubAborted`] while the shared parse
-    /// keeps running for the rest. The id stays live.
+    /// Detach one subscriber of a session mid-stream; its sink comes back
+    /// via [`RuntimeEvent::SubAborted`] while the shared parse keeps
+    /// running for the rest. The id stays live. Subscriber 0 of a
+    /// single-query session is valid too (its finish then reports
+    /// [`FluxError::SessionAborted`]); an index out of range answers
+    /// `SubAborted` with no sink.
     pub fn abort_shared_sub(&mut self, id: RuntimeId, sub: usize) {
         let worker = self.check(id);
         self.send(worker, Cmd::AbortSub { slot: id.slot, sub });
@@ -713,10 +693,10 @@ impl<S: Sink + Send + 'static> Runtime<S> {
         }
         let (reply_tx, reply_rx) = channel();
         self.send(from, Cmd::Extract { slot: id.slot, reply: reply_tx });
-        let extracted = reply_rx.recv().expect("source shard worker alive");
+        let entry = reply_rx.recv().expect("source shard worker alive");
         self.slots[id.slot as usize].worker = shard as u16;
         self.workers[shard].live.fetch_add(1, Ordering::Relaxed);
-        self.send(shard, Cmd::Adopt { slot: id.slot, shard, extracted });
+        self.send(shard, Cmd::Adopt { slot: id.slot, shard, entry });
     }
 
     /// Spill one session to disk now instead of waiting out the policy's
@@ -750,21 +730,21 @@ impl<S: Sink + Send + 'static> Runtime<S> {
         let from = self.check(id);
         let (reply_tx, reply_rx) = channel();
         self.send(from, Cmd::Extract { slot: id.slot, reply: reply_tx });
-        let extracted = reply_rx.recv().expect("source shard worker alive");
-        let quiescent = extracted.pending.is_empty()
-            && !extracted.finishing
-            && extracted.aborts.is_empty()
-            && matches!(extracted.body, Body::Parked(_));
+        let entry = reply_rx.recv().expect("source shard worker alive");
+        let quiescent = entry.pending.is_empty()
+            && !entry.finishing
+            && entry.aborts.is_empty()
+            && matches!(entry.body, Body::Parked(_));
         if !quiescent {
             // Hand it straight back to its own worker (which resumes a
             // transport-parked body immediately) and refuse.
             self.workers[from].live.fetch_add(1, Ordering::Relaxed);
-            self.send(from, Cmd::Adopt { slot: id.slot, shard: from, extracted });
+            self.send(from, Cmd::Adopt { slot: id.slot, shard: from, entry });
             return Err(FluxError::Snapshot(flux_state::StateError::NotQuiescent(
                 "session is failed or holds gate-refused or deferred work",
             )));
         }
-        let Body::Parked(parked) = extracted.body else { unreachable!() };
+        let Body::Parked(parked) = entry.body else { unreachable!() };
         let s = &mut self.slots[id.slot as usize];
         s.open = false;
         s.gen += 1;
@@ -784,9 +764,9 @@ impl<S: Sink + Send + 'static> Runtime<S> {
     /// Rebuild a detached single-query session from snapshot bytes on the
     /// least-loaded worker with a fresh sink — the resume half of
     /// [`Runtime::detach`], equally happy with bytes from
-    /// [`Session::snapshot`]. Under admission control the snapshot's
-    /// recorded charges are re-granted before the session lands; a hook
-    /// without headroom refuses
+    /// [`Session::snapshot`](crate::Session::snapshot). Under admission
+    /// control the snapshot's recorded charges are re-granted before the
+    /// session lands; a hook without headroom refuses
     /// ([`flux_state::StateError::BudgetDenied`]) charging nothing.
     pub fn attach(
         &mut self,
@@ -794,13 +774,10 @@ impl<S: Sink + Send + 'static> Runtime<S> {
         sink: S,
         snapshot: &[u8],
     ) -> Result<RuntimeId, FluxError> {
-        let session = match &self.budget {
-            Some(hook) => query.restore_session_with_budget(sink, Arc::clone(hook), snapshot)?,
-            None => query.restore_session(sink, snapshot)?,
-        };
-        let (worker, slot, gen) = self.place();
-        self.send(worker, Cmd::Open { slot, gen, session: Box::new(session) });
-        Ok(RuntimeId { slot, gen })
+        let (plan, budget) = (query.plan_of_one(), self.budget.clone());
+        let session =
+            SharedSession::restore(plan, vec![Some(sink)], budget, snapshot, false, true)?;
+        Ok(self.place_session(session))
     }
 
     /// The fan-out twin of [`Runtime::attach`]: rebuild a detached shared
@@ -813,13 +790,9 @@ impl<S: Sink + Send + 'static> Runtime<S> {
         sinks: Vec<Option<S>>,
         snapshot: &[u8],
     ) -> Result<RuntimeId, FluxError> {
-        let session = match &self.budget {
-            Some(hook) => set.restore_session_with_budget(sinks, Arc::clone(hook), snapshot)?,
-            None => set.restore_session(sinks, snapshot)?,
-        };
-        let (worker, slot, gen) = self.place();
-        self.send(worker, Cmd::OpenShared { slot, gen, session: Box::new(session) });
-        Ok(RuntimeId { slot, gen })
+        let (plan, budget) = (set.plan_arc(), self.budget.clone());
+        let session = SharedSession::restore(plan, sinks, budget, snapshot, false, false)?;
+        Ok(self.place_session(session))
     }
 
     /// Drain every event the workers have produced so far (non-blocking).
@@ -918,74 +891,33 @@ impl<S: Sink + Send + 'static> Drop for Runtime<S> {
     }
 }
 
-/// A worker entry's execution: one single-query session or one shared
-/// fan-out session. Both expose the same feed/gate surface, so the
-/// stall/retry machinery is agnostic to the shape.
-// Boxed so the enum (and every worker map entry) stays pointer-sized
-// regardless of how the two session layouts grow.
-enum AnySession<S: Sink> {
-    Single(Box<Session<S>>),
-    Shared(Box<SharedSession<S>>),
-}
-
-impl<S: Sink> AnySession<S> {
-    fn feed_outcome(&mut self, chunk: &[u8]) -> Result<FeedOutcome, FluxError> {
-        match self {
-            AnySession::Single(s) => s.feed_outcome(chunk),
-            AnySession::Shared(s) => s.feed_outcome(chunk),
-        }
-    }
-
-    fn feed(&mut self, chunk: &[u8]) -> Result<(), FluxError> {
-        match self {
-            AnySession::Single(s) => s.feed(chunk),
-            AnySession::Shared(s) => s.feed(chunk),
-        }
-    }
-
-    fn buffered_bytes(&self) -> usize {
-        match self {
-            AnySession::Single(s) => s.buffered_bytes(),
-            AnySession::Shared(s) => s.buffered_bytes(),
-        }
-    }
-
-    /// Serialize, if the session is healthy enough to (a failed one
-    /// refuses and keeps living as a value until finish reports its
-    /// cause).
-    fn snapshot(&self) -> Result<Vec<u8>, FluxError> {
-        match self {
-            AnySession::Single(s) => s.snapshot(),
-            AnySession::Shared(s) => s.snapshot(),
-        }
-    }
-}
-
 /// An entry's execution state: resident, serialized, or dead.
 enum Body<S: Sink> {
-    /// Resident in memory, executing.
-    Live(AnySession<S>),
+    /// Resident in memory, executing. Boxed so every worker map entry
+    /// stays small however the session layout grows.
+    Live(Box<SharedSession<S>>),
     /// Serialized to `flux-state` bytes — in memory mid-migration, on
     /// disk after a suspend — plus the parts that do not serialize: the
     /// compiled plan handle and the sinks.
     Parked(Parked<S>),
     /// Park/unpark failed irrecoverably (unreadable spill file, corrupt
     /// bytes). The entry's only remaining job is reporting `error` at
-    /// finish; sinks survive when the failure came before the rebuild
-    /// consumed them.
-    Lost { error: String, sinks: Option<SinkSlots<S>>, shared: bool },
+    /// finish, once per subscriber; sinks survive when the failure came
+    /// before the rebuild consumed them.
+    Lost { error: String, sinks: Vec<Option<S>> },
 }
 
 /// Placeholder body while the real one is temporarily moved out (and the
 /// wreck left behind if a park/unpark panics mid-flight).
 fn placeholder<S: Sink>() -> Body<S> {
-    Body::Lost { error: String::new(), sinks: None, shared: false }
+    Body::Lost { error: String::new(), sinks: Vec::new() }
 }
 
 struct Parked<S: Sink> {
     bytes: ParkedBytes,
-    plan: PlanHandle,
-    sinks: SinkSlots<S>,
+    plan: Arc<FanoutPlan>,
+    /// One per subscriber in set order; `None` for already-detached ones.
+    sinks: Vec<Option<S>>,
     /// Budget charges recorded in the snapshot's BUDGET section —
     /// reserved back through `try_grow` before the pre-granted restore.
     charged: usize,
@@ -996,19 +928,12 @@ enum ParkedBytes {
     Disk(PathBuf),
 }
 
-enum PlanHandle {
-    Single(Arc<CompiledQuery>),
-    Shared(Arc<FanoutPlan>),
-}
-
-enum SinkSlots<S: Sink> {
-    Single(S),
-    /// One per subscriber in set order; `None` for already-detached ones.
-    Shared(Vec<Option<S>>),
-}
-
 struct Entry<S: Sink> {
     gen: u32,
+    /// Opened for one prepared query: completes as
+    /// [`RuntimeEvent::Finished`] (and snapshots as a single-query
+    /// envelope), not [`RuntimeEvent::FinishedShared`].
+    single: bool,
     body: Body<S>,
     /// Chunks refused by the admission gate — or arriving while the body
     /// was parked under a denied re-admission reservation — waiting to be
@@ -1041,10 +966,11 @@ struct Entry<S: Sink> {
 }
 
 impl<S: Sink> Entry<S> {
-    fn new(gen: u32, body: Body<S>) -> Entry<S> {
+    fn new(gen: u32, session: Box<SharedSession<S>>) -> Entry<S> {
         Entry {
             gen,
-            body,
+            single: session.is_single(),
+            body: Body::Live(session),
             pending: VecDeque::new(),
             pending_bytes: 0,
             finishing: false,
@@ -1221,14 +1147,7 @@ fn worker_loop<S: Sink + Send + 'static>(
         match cmd {
             Some(Cmd::Open { slot, gen, session }) => {
                 ctx.trace(TraceEvent::SessionOpen { shard: ctx.shard });
-                let prev =
-                    sessions.insert(slot, Entry::new(gen, Body::Live(AnySession::Single(session))));
-                debug_assert!(prev.is_none(), "slot reused before retirement");
-            }
-            Some(Cmd::OpenShared { slot, gen, session }) => {
-                ctx.trace(TraceEvent::SessionOpen { shard: ctx.shard });
-                let prev =
-                    sessions.insert(slot, Entry::new(gen, Body::Live(AnySession::Shared(session))));
+                let prev = sessions.insert(slot, Entry::new(gen, session));
                 debug_assert!(prev.is_none(), "slot reused before retirement");
             }
             Some(Cmd::Feed { slot, chunk }) => {
@@ -1314,26 +1233,15 @@ fn worker_loop<S: Sink + Send + 'static>(
                 let e = sessions.get_mut(&slot).expect("abort-sub addresses a live session");
                 e.last_touch = Instant::now();
                 let mut progressed = false;
+                e.aborts.push(sub);
                 match wake_entry(e, hook.as_ref(), &mut progressed) {
-                    Wake::Ready => {
-                        let Body::Live(AnySession::Shared(s)) = &mut e.body else {
-                            panic!("abort-sub addresses a shared session");
-                        };
-                        let sink = s.abort_sub(sub);
-                        let id = RuntimeId { slot, gen: e.gen };
-                        ctx.send(RuntimeEvent::SubAborted { id, sub, sink });
-                    }
+                    Wake::Ready | Wake::Dead => apply_aborts(e, slot, &ctx),
                     Wake::Denied => {
-                        // Defer: applies the moment re-admission succeeds.
-                        e.aborts.push(sub);
+                        // Deferred: applies the moment re-admission succeeds.
                         if !stalled.contains(&slot) {
                             stalled.push(slot);
                         }
                         note_stall(&ctx, e, slot, StallCause::AdmissionReserve);
-                    }
-                    Wake::Dead => {
-                        let id = RuntimeId { slot, gen: e.gen };
-                        ctx.send(RuntimeEvent::SubAborted { id, sub, sink: None });
                     }
                 }
                 republish(e, &ctx.buffered);
@@ -1359,11 +1267,12 @@ fn worker_loop<S: Sink + Send + 'static>(
                 ctx.buffered.fetch_sub(e.reported, Ordering::Relaxed);
                 e.reported = 0;
                 ctx.live.fetch_sub(1, Ordering::Relaxed);
-                // A healthy resident session crosses shards as its own
-                // snapshot — migration rides the exact bytes a suspend
-                // writes to disk. A failed session refuses to serialize
-                // and moves as a live value; an already-spilled one just
-                // hands over its file path.
+                // The entry travels whole. A healthy resident session
+                // crosses shards as its own snapshot — migration rides the
+                // exact bytes a suspend writes to disk. A failed session
+                // refuses to serialize and moves as a live value (its only
+                // remaining job is reporting its error at finish); an
+                // already-spilled one just hands over its file path.
                 let body = std::mem::replace(&mut e.body, placeholder());
                 e.body = match body {
                     Body::Live(session) => match park(session, None) {
@@ -1372,64 +1281,24 @@ fn worker_loop<S: Sink + Send + 'static>(
                     },
                     other => other,
                 };
-                let _ = reply.send(Extracted {
-                    gen: e.gen,
-                    body: e.body,
-                    pending: e.pending,
-                    pending_bytes: e.pending_bytes,
-                    finishing: e.finishing,
-                    aborts: e.aborts,
-                    opened: e.opened,
-                    stalled_since: e.stalled_since,
-                });
+                let _ = reply.send(e);
             }
-            Some(Cmd::Adopt { slot, shard, extracted }) => {
-                let Extracted {
-                    gen,
-                    mut body,
-                    pending,
-                    pending_bytes,
-                    finishing,
-                    aborts,
-                    opened,
-                    stalled_since,
-                } = extracted;
+            Some(Cmd::Adopt { slot, shard, entry: mut e }) => {
+                e.last_touch = Instant::now();
                 // A body serialized purely for transport resumes right
                 // away (the restore half of the migration); one the
                 // suspend sweep had spilled stays on disk until touched.
                 let mut denied = false;
-                if matches!(&body, Body::Parked(Parked { bytes: ParkedBytes::Mem(_), .. })) {
-                    let Body::Parked(parked) = body else { unreachable!() };
-                    body = match unpark(parked, hook.as_ref()) {
-                        Unparked::Live(s) => Body::Live(s),
-                        Unparked::Denied(p) => {
-                            denied = true;
-                            Body::Parked(p)
-                        }
-                        Unparked::Lost { error, sinks, shared } => {
-                            Body::Lost { error, sinks, shared }
-                        }
-                    };
+                if matches!(&e.body, Body::Parked(Parked { bytes: ParkedBytes::Mem(_), .. })) {
+                    denied = matches!(wake_entry(&mut e, hook.as_ref(), &mut false), Wake::Denied);
                 }
-                let stall = denied || !pending.is_empty() || finishing || !aborts.is_empty();
-                let mut e = Entry {
-                    gen,
-                    body,
-                    pending,
-                    pending_bytes,
-                    finishing,
-                    aborts,
-                    last_touch: Instant::now(),
-                    reported: 0,
-                    opened,
-                    stalled_since,
-                };
+                let stall = denied || !e.pending.is_empty() || e.finishing || !e.aborts.is_empty();
                 republish(&mut e, &ctx.buffered);
                 if let Some(m) = &ctx.metrics {
                     m.migrates.inc();
                 }
                 ctx.trace(TraceEvent::Migrate { shard: ctx.shard });
-                ctx.send(RuntimeEvent::Migrated { id: RuntimeId { slot, gen }, shard });
+                ctx.send(RuntimeEvent::Migrated { id: RuntimeId { slot, gen: e.gen }, shard });
                 if stall {
                     if !stalled.contains(&slot) {
                         stalled.push(slot);
@@ -1492,11 +1361,10 @@ fn wait<S: Sink>(
 /// and budget charges go, plan and sinks stay. Hands the session back
 /// untouched if it refuses to serialize (it failed earlier) or the spill
 /// file cannot be written. Returns the snapshot size alongside.
-#[allow(clippy::result_large_err)]
 fn park<S: Sink>(
-    session: AnySession<S>,
+    session: Box<SharedSession<S>>,
     spill: Option<PathBuf>,
-) -> Result<(Parked<S>, usize), AnySession<S>> {
+) -> Result<(Parked<S>, usize), Box<SharedSession<S>>> {
     let bytes = match session.snapshot() {
         Ok(b) => b,
         Err(_) => return Err(session),
@@ -1515,19 +1383,12 @@ fn park<S: Sink>(
         None => ParkedBytes::Mem(bytes),
     };
     // Only now that the bytes are safe does the live value come apart.
-    let (plan, sinks) = match session {
-        AnySession::Single(s) => {
-            (PlanHandle::Single(s.plan_arc()), SinkSlots::Single(s.into_sink()))
-        }
-        AnySession::Shared(s) => {
-            (PlanHandle::Shared(s.plan_arc()), SinkSlots::Shared(s.into_sinks()))
-        }
-    };
-    Ok((Parked { bytes: stored, plan, sinks, charged }, size))
+    let plan = session.plan_arc();
+    Ok((Parked { bytes: stored, plan, sinks: session.into_sinks(), charged }, size))
 }
 
 enum Unparked<S: Sink> {
-    Live(AnySession<S>),
+    Live(Box<SharedSession<S>>),
     /// The budget refused the re-admission reservation; everything is
     /// intact — retry on the next release edge.
     Denied(Parked<S>),
@@ -1536,29 +1397,28 @@ enum Unparked<S: Sink> {
     /// before the rebuild consumed them.
     Lost {
         error: String,
-        sinks: Option<SinkSlots<S>>,
-        shared: bool,
+        sinks: Vec<Option<S>>,
     },
 }
 
-/// Rebuild a parked body into a live session. Reserves the snapshot's
-/// recorded budget charges through `try_grow` *before* rebuilding
-/// anything, then restores pre-granted: the restore can never lose a race
-/// for headroom, and a refusal leaves every piece intact for the retry.
-fn unpark<S: Sink>(parked: Parked<S>, hook: Option<&Arc<dyn BudgetHook>>) -> Unparked<S> {
+/// Rebuild a parked body into a live session of the recorded shape
+/// (`single`: a one-query envelope). Reserves the snapshot's recorded
+/// budget charges through `try_grow` *before* rebuilding anything, then
+/// restores pre-granted: the restore can never lose a race for headroom,
+/// and a refusal leaves every piece intact for the retry.
+fn unpark<S: Sink>(
+    parked: Parked<S>,
+    single: bool,
+    hook: Option<&Arc<dyn BudgetHook>>,
+) -> Unparked<S> {
     let Parked { bytes, plan, sinks, charged } = parked;
-    let shared = matches!(plan, PlanHandle::Shared(_));
     let (data, spill) = match bytes {
         ParkedBytes::Mem(b) => (b, None),
         ParkedBytes::Disk(path) => match std::fs::read(&path) {
             Ok(v) => (v, Some(path)),
             Err(e) => {
                 let _ = std::fs::remove_file(&path);
-                return Unparked::Lost {
-                    error: format!("spill file unreadable: {e}"),
-                    sinks: Some(sinks),
-                    shared,
-                };
+                return Unparked::Lost { error: format!("spill file unreadable: {e}"), sinks };
             }
         },
     };
@@ -1573,23 +1433,13 @@ fn unpark<S: Sink>(parked: Parked<S>, hook: Option<&Arc<dyn BudgetHook>>) -> Unp
             }
         }
     }
-    let restored = match (plan, sinks) {
-        (PlanHandle::Single(plan), SinkSlots::Single(sink)) => {
-            Session::restore(plan, sink, hook.cloned(), &data, true)
-                .map(|s| AnySession::Single(Box::new(s)))
-        }
-        (PlanHandle::Shared(plan), SinkSlots::Shared(sv)) => {
-            SharedSession::restore(plan, sv, hook.cloned(), &data, true)
-                .map(|s| AnySession::Shared(Box::new(s)))
-        }
-        _ => unreachable!("plan and sinks park as a matched pair"),
-    };
-    match restored {
+    let subs = sinks.len();
+    match SharedSession::restore(plan, sinks, hook.cloned(), &data, true, single) {
         Ok(live) => {
             if let Some(path) = spill {
                 let _ = std::fs::remove_file(path);
             }
-            Unparked::Live(live)
+            Unparked::Live(Box::new(live))
         }
         Err(e) => {
             // Bytes this runtime wrote itself failing to decode is a
@@ -1602,7 +1452,7 @@ fn unpark<S: Sink>(parked: Parked<S>, hook: Option<&Arc<dyn BudgetHook>>) -> Unp
                     h.release(charged);
                 }
             }
-            Unparked::Lost { error: e.to_string(), sinks: None, shared }
+            Unparked::Lost { error: e.to_string(), sinks: (0..subs).map(|_| None).collect() }
         }
     }
 }
@@ -1630,7 +1480,7 @@ fn wake_entry<S: Sink>(
             let Body::Parked(parked) = std::mem::replace(&mut e.body, placeholder()) else {
                 unreachable!()
             };
-            match unpark(parked, hook) {
+            match unpark(parked, e.single, hook) {
                 Unparked::Live(s) => {
                     e.body = Body::Live(s);
                     *progressed = true;
@@ -1640,8 +1490,8 @@ fn wake_entry<S: Sink>(
                     e.body = Body::Parked(p);
                     Wake::Denied
                 }
-                Unparked::Lost { error, sinks, shared } => {
-                    e.body = Body::Lost { error, sinks, shared };
+                Unparked::Lost { error, sinks } => {
+                    e.body = Body::Lost { error, sinks };
                     *progressed = true;
                     Wake::Dead
                 }
@@ -1650,18 +1500,16 @@ fn wake_entry<S: Sink>(
     }
 }
 
-/// Apply deferred subscriber aborts the moment the body is live again.
+/// Answer the entry's pending subscriber aborts once its body is woken:
+/// each detaches its subscriber from a live session, handing the sink
+/// back, and a lost body answers with no sink.
 fn apply_aborts<S: Sink>(e: &mut Entry<S>, slot: u32, ctx: &WorkerCtx<S>) {
-    if e.aborts.is_empty() {
-        return;
-    }
     let id = RuntimeId { slot, gen: e.gen };
-    let Body::Live(AnySession::Shared(s)) = &mut e.body else {
-        e.aborts.clear();
-        return;
-    };
     for sub in e.aborts.drain(..) {
-        let sink = s.abort_sub(sub);
+        let sink = match &mut e.body {
+            Body::Live(s) => s.abort_sub(sub),
+            Body::Parked(_) | Body::Lost { .. } => None,
+        };
         ctx.send(RuntimeEvent::SubAborted { id, sub, sink });
     }
 }
@@ -1692,7 +1540,7 @@ fn retry_entry<S: Sink>(
             // finish.
             e.pending.clear();
             e.pending_bytes = 0;
-            e.aborts.clear();
+            apply_aborts(e, slot, ctx);
             republish(e, &ctx.buffered);
             note_resume(ctx, e, slot);
             return (false, true);
@@ -1780,20 +1628,12 @@ fn finish_now<S: Sink>(
     // strictly before the completion event, so consumers always observe
     // Stalled → Resumed → Finished in order.
     note_resume(ctx, &mut e, slot);
+    // Deferred subscriber aborts go first — their sinks return via
+    // SubAborted, not the finish.
+    apply_aborts(&mut e, slot, ctx);
     let id = RuntimeId { slot, gen: e.gen };
-    let opened = e.opened;
-    match e.body {
+    let results = match e.body {
         Body::Live(mut session) => {
-            // Deferred subscriber aborts go first — their sinks return
-            // via SubAborted, not the finish.
-            if !e.aborts.is_empty() {
-                if let AnySession::Shared(s) = &mut session {
-                    for sub in e.aborts.drain(..) {
-                        let sink = s.abort_sub(sub);
-                        ctx.send(RuntimeEvent::SubAborted { id, sub, sink });
-                    }
-                }
-            }
             // End of input: the remaining bytes are committed, so they
             // bypass the admission gate (budget still strictly enforced)
             // and the run completes or fails on its merits.
@@ -1802,58 +1642,29 @@ fn finish_now<S: Sink>(
                     break; // already failed; finish reports the cause
                 }
             }
-            match session {
-                AnySession::Single(s) => {
-                    let (result, sink) = s.finish_parts();
-                    if let Some(m) = &ctx.metrics {
-                        m.note_run(opened, &result);
-                    }
-                    ctx.trace(TraceEvent::SessionFinish { shard: ctx.shard, ok: result.is_ok() });
-                    ctx.send(RuntimeEvent::Finished { id, result, sink });
-                }
-                AnySession::Shared(s) => {
-                    let results = s.finish_parts();
-                    if let Some(m) = &ctx.metrics {
-                        for (result, _) in &results {
-                            m.note_run(opened, result);
-                        }
-                    }
-                    let ok = results.iter().all(|(r, _)| r.is_ok());
-                    ctx.trace(TraceEvent::SessionFinish { shard: ctx.shard, ok });
-                    ctx.send(RuntimeEvent::FinishedShared { id, results });
-                }
-            }
+            session.finish_parts()
         }
-        Body::Lost { error, sinks, shared } => {
-            let mk = |msg: &str| FluxError::Snapshot(flux_state::StateError::Io(msg.to_string()));
-            if shared {
-                let results: Vec<_> = match sinks {
-                    Some(SinkSlots::Shared(v)) => {
-                        v.into_iter().map(|s| (Err(mk(&error)), s)).collect()
-                    }
-                    _ => Vec::new(),
-                };
-                if let Some(m) = &ctx.metrics {
-                    for (result, _) in &results {
-                        m.note_run(opened, result);
-                    }
-                }
-                ctx.trace(TraceEvent::SessionFinish { shard: ctx.shard, ok: false });
-                ctx.send(RuntimeEvent::FinishedShared { id, results });
-            } else {
-                let sink = match sinks {
-                    Some(SinkSlots::Single(s)) => Some(s),
-                    _ => None,
-                };
-                let result = Err(mk(&error));
-                if let Some(m) = &ctx.metrics {
-                    m.note_run(opened, &result);
-                }
-                ctx.trace(TraceEvent::SessionFinish { shard: ctx.shard, ok: false });
-                ctx.send(RuntimeEvent::Finished { id, result, sink });
-            }
+        Body::Lost { error, sinks } => {
+            let lost = || FluxError::Snapshot(flux_state::StateError::Io(error.clone()));
+            sinks.into_iter().map(|sink| (Err(lost()), sink)).collect()
         }
         Body::Parked(_) => unreachable!("finish completes only on woken entries"),
+    };
+    if let Some(m) = &ctx.metrics {
+        for (result, _) in &results {
+            m.note_run(e.opened, result);
+        }
+    }
+    let ok = results.iter().all(|(r, _)| r.is_ok());
+    ctx.trace(TraceEvent::SessionFinish { shard: ctx.shard, ok });
+    if e.single {
+        let (result, sink) = match results.into_iter().next() {
+            Some(out) => out,
+            None => (Err(FluxError::SessionAborted), None),
+        };
+        ctx.send(RuntimeEvent::Finished { id, result, sink });
+    } else {
+        ctx.send(RuntimeEvent::FinishedShared { id, results });
     }
 }
 
@@ -2090,6 +1901,64 @@ mod tests {
             }
         }
         assert_eq!(rt.live_sessions(), 0);
+        assert!(rt.drain().is_empty());
+    }
+
+    #[test]
+    fn abort_sub_on_any_session_shape_answers_without_killing_the_shard() {
+        // One worker, so a panic there would take both sessions down.
+        let engine = Engine::builder().dtd_str(DTD).build().unwrap();
+        let q = engine.prepare(QUERY).unwrap();
+        let mut reg = crate::QueryRegistry::new();
+        reg.register("a", q.clone());
+        reg.register("b", q.clone());
+        let set = crate::SubscriptionSet::compile(&reg).unwrap();
+        let d = doc(5);
+        let reference = q.run_str(&d).unwrap();
+
+        let mut rt = Runtime::new(1);
+        let single = rt.open(&q, StringSink::new());
+        let shared = rt.open_shared(&set, (0..2).map(|_| StringSink::new()).collect());
+        let (head, tail) = d.as_bytes().split_at(d.len() / 2);
+        rt.feed(single, head);
+        rt.feed(shared, head);
+        // Sub 0 of a single-query session is its one subscriber; sub 99 of
+        // a two-subscriber session does not exist.
+        rt.abort_shared_sub(single, 0);
+        rt.abort_shared_sub(shared, 99);
+        rt.feed(single, tail);
+        rt.feed(shared, tail);
+        rt.finish(single);
+        rt.finish(shared);
+        let (mut subs, mut done) = (0, 0);
+        while done < 2 {
+            match rt.wait_event().expect("the shard survives both aborts") {
+                RuntimeEvent::SubAborted { id, sub: 0, sink } if id == single => {
+                    assert!(sink.is_some(), "the detached subscriber's sink comes back");
+                    subs += 1;
+                }
+                RuntimeEvent::SubAborted { id, sub: 99, sink } if id == shared => {
+                    assert!(sink.is_none(), "no subscriber 99");
+                    subs += 1;
+                }
+                RuntimeEvent::Finished { id, result, sink } => {
+                    assert_eq!(id, single);
+                    assert!(matches!(result, Err(FluxError::SessionAborted)), "{result:?}");
+                    assert!(sink.is_none());
+                    done += 1;
+                }
+                RuntimeEvent::FinishedShared { id, results } => {
+                    assert_eq!(id, shared);
+                    for (res, sink) in results {
+                        assert_eq!(res.unwrap(), reference.stats);
+                        assert_eq!(sink.unwrap().as_str(), reference.output);
+                    }
+                    done += 1;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(subs, 2, "each abort answers with SubAborted");
         assert!(rt.drain().is_empty());
     }
 

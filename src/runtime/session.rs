@@ -13,6 +13,13 @@
 //! [`Sink`] as soon as the schedule allows — a fully-streaming plan emits
 //! results while the document is still arriving.
 //!
+//! A session is a fan-out of one: a one-subscriber view over the single
+//! session implementation, [`SharedSession`]. It owns no reader, tape or
+//! gating code of its own — the shared drain loop skips unhandled
+//! subtrees at the reader exactly when this one subscriber is parked — and
+//! its type only pins the shape: exactly one sink in, one outcome out, and
+//! [`FluxError::SessionAborted`] once that subscriber has failed.
+//!
 //! Chunk boundaries are invisible to the engine — the incremental reader
 //! rolls back any construct that runs off the end of the fed bytes and
 //! re-parses it when more arrive — so output bytes *and* every statistic
@@ -35,14 +42,11 @@
 
 use std::sync::Arc;
 
-use flux_engine::{BudgetHook, CompiledQuery, EngineError, Pump, RunStats, StreamInterest};
-use flux_xml::{
-    DeliveryMode, EventTape, FeedSource, Polled, Reader, Sink, SkipPoll, SkipScan, TapeFill,
-    TapeTelemetry,
-};
+use flux_engine::{BudgetHook, FanoutPlan, RunStats};
+use flux_xml::Sink;
 
 use crate::error::FluxError;
-use crate::runtime::FeedOutcome;
+use crate::runtime::{FeedOutcome, SharedSession};
 
 /// What a finished session produced.
 #[derive(Debug)]
@@ -62,54 +66,16 @@ pub struct Finished<S> {
 /// thread or other OS resource, so dropping one mid-stream is trivially
 /// clean and thousands can be live at once (see [`Shard`](crate::Shard)).
 pub struct Session<S: Sink> {
-    reader: Reader<FeedSource>,
-    pump: Pump<S>,
-    /// The first error the run hit; later calls report `SessionAborted`
-    /// and [`Session::finish_parts`] surfaces this cause.
-    error: Option<FluxError>,
-    /// Shared admission hook: consulted between events to pause execution
-    /// while aggregate headroom is scarce. `None` = never pause.
-    budget: Option<Arc<dyn BudgetHook>>,
-    /// Execution stopped on [`FeedOutcome::Backpressure`]; fed bytes wait
-    /// in the reader until [`Session::resume`] (or finish) drains them.
-    paused: bool,
-    /// Resolved event delivery strategy (builder choice ∘ `FLUX_FORCE_PULL`).
-    delivery: DeliveryMode,
-    /// Reusable tape for batched delivery; always empty between feeds
-    /// (drained before control returns), so it never appears in snapshots.
-    tape: EventTape,
-    /// Session-side delivery counters (batches, events, fast-forwards);
-    /// merged into [`RunStats::tape`] at finish.
-    tape_stats: TapeTelemetry,
+    inner: SharedSession<S>,
 }
 
 impl<S: Sink> Session<S> {
-    pub(crate) fn new(plan: Arc<CompiledQuery>, sink: S) -> Session<S> {
-        Session::with_budget(plan, sink, None)
-    }
-
-    pub(crate) fn with_budget(
-        plan: Arc<CompiledQuery>,
+    pub(crate) fn new(
+        plan: Arc<FanoutPlan>,
         sink: S,
         budget: Option<Arc<dyn BudgetHook>>,
     ) -> Session<S> {
-        let reader =
-            Reader::incremental_with_symbols(plan.options().reader, Arc::clone(plan.symbols()));
-        let delivery = plan.options().reader.delivery.resolved();
-        let pump = match &budget {
-            Some(hook) => Pump::with_budget(plan, sink, Arc::clone(hook)),
-            None => Pump::new(plan, sink),
-        };
-        Session {
-            reader,
-            pump,
-            error: None,
-            budget,
-            paused: false,
-            delivery,
-            tape: EventTape::new(),
-            tape_stats: TapeTelemetry::default(),
-        }
+        Session { inner: SharedSession::new(plan, vec![sink], budget, true) }
     }
 
     /// Push the next chunk of the document. Chunks may split the XML at any
@@ -131,14 +97,7 @@ impl<S: Sink> Session<S> {
     /// the caller has already committed to deliver, e.g. to complete a
     /// document whose buffers are exactly what will free the pool.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), FluxError> {
-        if self.error.is_some() {
-            return Err(FluxError::SessionAborted);
-        }
-        // A bypass feed executes: the session is no longer waiting.
-        self.paused = false;
-        self.reader.feed(chunk);
-        self.drain();
-        Ok(())
+        self.inner.feed(chunk)
     }
 
     /// [`Session::feed`] behind the admission gate. While the shared
@@ -154,17 +113,7 @@ impl<S: Sink> Session<S> {
     /// never exceed the budget — a charge the pool cannot grant fails the
     /// run with [`flux_engine::EngineError::BudgetDenied`].
     pub fn feed_outcome(&mut self, chunk: &[u8]) -> Result<FeedOutcome, FluxError> {
-        if self.error.is_some() {
-            return Err(FluxError::SessionAborted);
-        }
-        if self.gated() {
-            self.paused = true;
-            return Ok(FeedOutcome::Backpressure);
-        }
-        self.paused = false;
-        self.reader.feed(chunk);
-        self.drain();
-        Ok(FeedOutcome::Accepted)
+        self.inner.feed_outcome(chunk)
     }
 
     /// Re-check the admission gate after [`FeedOutcome::Backpressure`]:
@@ -172,153 +121,13 @@ impl<S: Sink> Session<S> {
     /// refused chunk was never absorbed — re-feed it). Cheap to call
     /// speculatively: one atomic read.
     pub fn resume(&mut self) -> Result<FeedOutcome, FluxError> {
-        if self.error.is_some() {
-            return Err(FluxError::SessionAborted);
-        }
-        if self.gated() {
-            return Ok(FeedOutcome::Backpressure);
-        }
-        self.paused = false;
-        Ok(FeedOutcome::Accepted)
+        self.inner.resume()
     }
 
     /// Did the last [`Session::feed_outcome`] refuse its chunk (and no
     /// [`Session::resume`] has succeeded since)?
     pub fn is_paused(&self) -> bool {
-        self.paused
-    }
-
-    /// Is the admission gate closed for this session right now? Keyed on
-    /// the session's *outstanding shared-budget charges* (not its local
-    /// buffer count, which `Top::Simple` plans never touch): a session
-    /// with charges must keep draining, because its progress is what
-    /// releases them back to the pool.
-    fn gated(&self) -> bool {
-        match &self.budget {
-            Some(b) => b.should_pause() && self.pump.budget_charged() == 0,
-            None => false,
-        }
-    }
-
-    /// Run the machine over the fed bytes; errors are stored for
-    /// [`Session::finish_parts`], like the one-shot run would surface them.
-    fn drain(&mut self) {
-        if let Err(e) = self.drain_events() {
-            // Surface the cause at finish, like the one-shot run would.
-            self.error = Some(e);
-        }
-    }
-
-    /// Pump every event the fed bytes complete through the machine.
-    fn drain_events(&mut self) -> Result<(), FluxError> {
-        match self.delivery {
-            DeliveryMode::Tape => self.drain_events_tape(),
-            DeliveryMode::PerEvent => loop {
-                match self.reader.poll_resolved() {
-                    Ok(Polled::Event(ev)) => self.pump.feed_event(ev)?,
-                    Ok(Polled::NeedMoreData | Polled::End) => return Ok(()),
-                    // Parse errors surface exactly as the engine reports
-                    // them on the one-shot path.
-                    Err(e) => return Err(FluxError::Engine(EngineError::Xml(e))),
-                }
-            },
-        }
-    }
-
-    /// Batched drain: fill the tape, walk it with a tight index loop, and
-    /// repeat until the fed bytes are exhausted. Semantically identical to
-    /// the per-event loop — a parse error is surfaced only after the
-    /// events parsed before it are delivered, exactly as pulling would.
-    fn drain_events_tape(&mut self) -> Result<(), FluxError> {
-        loop {
-            // Reader-side fast-forward: when the pump wants a whole subtree
-            // skipped, the reader scans past it structurally — no
-            // recording, no materialization, no per-event pump feed. The
-            // closing end tag is delivered normally: by the next batch, or
-            // — when the general machinery had already committed it — as
-            // the single event `skip_events` hands back on the tape.
-            if let StreamInterest::SkipSubtree { depth } = self.pump.stream_interest() {
-                match self.reader.skip_events(depth, &mut self.tape) {
-                    Ok(SkipPoll::Closed { events }) => {
-                        if events > 0 {
-                            self.pump.fast_forward_skip(events);
-                            self.tape_stats.events += events;
-                            self.tape_stats.fast_forwarded += events;
-                        }
-                        if !self.tape.is_empty() {
-                            self.tape_stats.batches += 1;
-                            self.tape_stats.events += self.tape.len() as u64;
-                            self.drain_tape()?;
-                        }
-                    }
-                    Ok(SkipPoll::More { events, depth }) => {
-                        if events > 0 {
-                            self.pump.fast_forward_skip_to(depth, events);
-                            self.tape_stats.events += events;
-                            self.tape_stats.fast_forwarded += events;
-                        }
-                        return Ok(());
-                    }
-                    Err(e) => return Err(FluxError::Engine(EngineError::Xml(e))),
-                }
-            }
-            let fill = self.reader.fill_tape(&mut self.tape);
-            if !self.tape.is_empty() {
-                self.tape_stats.batches += 1;
-                self.tape_stats.events += self.tape.len() as u64;
-                self.drain_tape()?;
-            }
-            match fill {
-                Ok(TapeFill::Full) => {}
-                Ok(TapeFill::NeedMoreData | TapeFill::End) => return Ok(()),
-                Err(e) => return Err(FluxError::Engine(EngineError::Xml(e))),
-            }
-        }
-    }
-
-    /// Feed one drained batch to the pump. A pump reporting
-    /// [`StreamInterest::SkipSubtree`] fast-forwards *within the tape*:
-    /// the recorded close events are scanned directly and the pump is
-    /// reconciled in one call instead of fed event by event.
-    fn drain_tape(&mut self) -> Result<(), FluxError> {
-        let n = self.tape.len();
-        let mut i = 0;
-        let res = loop {
-            if i >= n {
-                break Ok(());
-            }
-            if let StreamInterest::SkipSubtree { depth } = self.pump.stream_interest() {
-                match self.tape.skip_scan(i, depth) {
-                    SkipScan::Close { at, skipped } => {
-                        if skipped > 0 {
-                            self.pump.fast_forward_skip(skipped);
-                            self.tape_stats.fast_forwarded += skipped;
-                        }
-                        // The closing tag itself is fed normally: it pops
-                        // the skip state and fires pending handlers.
-                        i = at;
-                    }
-                    SkipScan::Tail { depth, skipped } => {
-                        // Batch ends inside the subtree; the skip resumes
-                        // `depth` deep on the next batch.
-                        if skipped > 0 {
-                            self.pump.fast_forward_skip_to(depth, skipped);
-                            self.tape_stats.fast_forwarded += skipped;
-                        }
-                        break Ok(());
-                    }
-                }
-            }
-            if let Err(e) = self.pump.feed_event(self.reader.tape_event(&self.tape, i)) {
-                break Err(FluxError::from(e));
-            }
-            i += 1;
-        };
-        // The tape is cleared even when the pump failed mid-batch: its
-        // remaining events are never delivered (the session is poisoned),
-        // and stale window spans must not outlive the next feed.
-        self.tape.clear();
-        res
+        self.inner.is_paused()
     }
 
     /// Signal end of input and complete the run.
@@ -334,47 +143,15 @@ impl<S: Sink> Session<S> {
 
     /// Signal end of input, complete the run, and return the outcome
     /// together with the sink — which is handed back on success *and* on
-    /// failure.
+    /// failure. A failed run is abandoned, not finished: the recovered sink
+    /// holds exactly what a one-shot run wrote before the same failure.
     ///
     /// Finishing ignores the admission gate: the remaining input drains to
     /// completion here, with the budget still strictly enforced — a charge
     /// the shared pool genuinely cannot grant fails the run with
     /// [`flux_engine::EngineError::BudgetDenied`].
-    pub fn finish_parts(mut self) -> (Result<RunStats, FluxError>, Option<S>) {
-        let res = match self.error.take() {
-            Some(e) => Err(e),
-            None => {
-                self.reader.close();
-                self.drain_events()
-            }
-        };
-        match res {
-            // A failed run is abandoned, not finished: the recovered sink
-            // holds exactly what a one-shot run wrote before the same
-            // failure — no end-of-input epilogue is appended.
-            Err(e) => (Err(e), Some(self.pump.abort())),
-            Ok(()) => {
-                let scan = self.reader.scan_telemetry();
-                let (quick_hits, quick_misses) = self.reader.quick_counters();
-                let tape = self.tape_stats;
-                let (fin, sink) = self.pump.finish();
-                (
-                    fin.map(|mut stats| {
-                        stats.scan = scan;
-                        // Session- and reader-side delivery counters; the
-                        // pre-screen counters are the machine's own.
-                        stats.tape.batches = tape.batches;
-                        stats.tape.events = tape.events;
-                        stats.tape.fast_forwarded = tape.fast_forwarded;
-                        stats.tape.quick_hits = quick_hits;
-                        stats.tape.quick_misses = quick_misses;
-                        stats
-                    })
-                    .map_err(Into::into),
-                    Some(sink),
-                )
-            }
-        }
+    pub fn finish_parts(self) -> (Result<RunStats, FluxError>, Option<S>) {
+        self.inner.finish_parts().pop().expect("a session has exactly one subscriber")
     }
 
     /// Serialize the complete resumable state of this session into a
@@ -393,110 +170,21 @@ impl<S: Sink> Session<S> {
     /// unreachable from safe use; a session that has already failed refuses
     /// (restoring a poisoned run is never meaningful).
     pub fn snapshot(&self) -> Result<Vec<u8>, FluxError> {
-        if self.error.is_some() {
-            return Err(FluxError::Snapshot(flux_state::StateError::NotQuiescent(
-                "session has failed; finish_parts() reports the cause",
-            )));
-        }
-        // Batch-drain quiescence: every fill is drained before control
-        // returns to the caller, so the tape never has anything to save —
-        // snapshot bytes are identical across delivery modes.
-        debug_assert!(self.tape.is_empty(), "snapshot between feeds implies a drained tape");
-        let mut env = flux_state::Envelope::new();
-
-        let mut meta = flux_state::Enc::new();
-        meta.put_u8(flux_state::KIND_SESSION);
-        meta.put_uint(self.pump.plan().state_fingerprint());
-        meta.put_bool(self.paused);
-        env.add(flux_state::section::META, meta);
-
-        let mut reader = flux_state::Enc::new();
-        self.reader.state_save(&mut reader).map_err(FluxError::Snapshot)?;
-        env.add(flux_state::section::READER, reader);
-
-        let mut pump = flux_state::Enc::new();
-        self.pump.state_save(&mut pump).map_err(FluxError::Snapshot)?;
-        env.add(flux_state::section::PUMP, pump);
-
-        let mut budget = flux_state::Enc::new();
-        budget.put_usize(self.pump.budget_charged());
-        env.add(flux_state::section::BUDGET, budget);
-
-        Ok(env.into_bytes())
+        self.inner.snapshot()
     }
 
     /// Rebuild a session from [`Session::snapshot`] bytes. The plan must
-    /// fingerprint-match the one the snapshot was taken from; recorded
-    /// budget charges are re-granted through `budget` (refusal fails the
-    /// restore with [`flux_state::StateError::BudgetDenied`], charging
-    /// nothing, so the caller can retry when headroom returns). With
-    /// `pre_granted` the caller already reserved the snapshot's recorded
-    /// charges through `budget` (see [`flux_state::snapshot_charges`]) and
-    /// the restore adopts the reservation instead of growing again.
+    /// fingerprint-match the one the snapshot was taken from; see
+    /// [`SharedSession::restore`] for the budget re-grant.
     pub(crate) fn restore(
-        plan: Arc<CompiledQuery>,
+        plan: Arc<FanoutPlan>,
         sink: S,
         budget: Option<Arc<dyn BudgetHook>>,
         snapshot: &[u8],
         pre_granted: bool,
     ) -> Result<Session<S>, FluxError> {
-        let sections = flux_state::Sections::parse(snapshot).map_err(FluxError::Snapshot)?;
-        let mut meta = sections.require(flux_state::section::META).map_err(FluxError::Snapshot)?;
-        let kind = meta.get_u8().map_err(FluxError::Snapshot)?;
-        if kind != flux_state::KIND_SESSION {
-            return Err(FluxError::Snapshot(flux_state::StateError::Corrupt(
-                "snapshot holds a shared fan-out session, not a single-query one",
-            )));
-        }
-        let found = meta.get_uint().map_err(FluxError::Snapshot)?;
-        let expected = plan.state_fingerprint();
-        if found != expected {
-            return Err(FluxError::Snapshot(flux_state::StateError::PlanMismatch {
-                expected,
-                found,
-            }));
-        }
-        let paused = meta.get_bool().map_err(FluxError::Snapshot)?;
-
-        let mut rdec =
-            sections.require(flux_state::section::READER).map_err(FluxError::Snapshot)?;
-        let reader =
-            Reader::state_restore(plan.options().reader, Arc::clone(plan.symbols()), &mut rdec)
-                .map_err(FluxError::Snapshot)?;
-
-        let delivery = plan.options().reader.delivery.resolved();
-        let mut pdec = sections.require(flux_state::section::PUMP).map_err(FluxError::Snapshot)?;
-        let pump = if pre_granted {
-            Pump::state_load_pregranted(plan, sink, budget.clone(), &mut pdec)
-        } else {
-            Pump::state_load(plan, sink, budget.clone(), &mut pdec)
-        }
-        .map_err(FluxError::Snapshot)?;
-
-        Ok(Session {
-            reader,
-            pump,
-            error: None,
-            budget,
-            paused,
-            delivery,
-            tape: EventTape::new(),
-            tape_stats: TapeTelemetry::default(),
-        })
-    }
-
-    /// The compiled plan this session executes (for runtime layers that
-    /// must re-associate a snapshot with its plan).
-    pub(crate) fn plan_arc(&self) -> Arc<CompiledQuery> {
-        Arc::clone(self.pump.plan())
-    }
-
-    /// Tear the session down and hand its sink back without finishing the
-    /// run; outstanding budget charges are released. The spill/migrate
-    /// half-step: callers snapshot first, then reclaim the sink here and
-    /// later restore around it.
-    pub(crate) fn into_sink(self) -> S {
-        self.pump.abort()
+        SharedSession::restore(plan, vec![Some(sink)], budget, snapshot, pre_granted, true)
+            .map(|inner| Session { inner })
     }
 
     /// Bytes this session currently holds: runtime buffers and captures
@@ -504,13 +192,13 @@ impl<S: Sink> Session<S> {
     /// [`EngineBuilder::max_buffer_bytes`](crate::EngineBuilder::max_buffer_bytes))
     /// plus the unparsed tail of the fed input.
     pub fn buffered_bytes(&self) -> usize {
-        self.pump.buffered_bytes() + self.reader.unconsumed_bytes()
+        self.inner.buffered_bytes()
     }
 
     /// Has this session failed on earlier input? (The cause is reported by
     /// [`Session::finish_parts`].)
     pub fn is_aborted(&self) -> bool {
-        self.error.is_some()
+        self.inner.is_aborted()
     }
 }
 

@@ -1,4 +1,6 @@
-//! One shard: single-threaded multiplexing of many live [`Session`]s.
+//! One shard: single-threaded multiplexing of many live sessions — one
+//! slot store of the one session type, a query's session and a fan-out
+//! set's alike, keyed by one generation-checked [`SessionId`].
 
 use std::sync::Arc;
 
@@ -8,9 +10,10 @@ use flux_xml::Sink;
 use crate::api::PreparedQuery;
 use crate::error::FluxError;
 use crate::fanout::SubscriptionSet;
-use crate::runtime::{FeedOutcome, Finished, Session, SharedSession};
+use crate::runtime::{FeedOutcome, Finished, SharedSession};
 
-/// Handle to one session inside a [`Shard`].
+/// Handle to one session inside a [`Shard`] — a single-query session or a
+/// shared fan-out one alike.
 ///
 /// Ids are generation-checked: using an id after its session finished (and
 /// the slot was reused) panics instead of touching the wrong stream.
@@ -20,15 +23,7 @@ pub struct SessionId {
     pub(crate) gen: u32,
 }
 
-/// Handle to one [`SharedSession`] inside a [`Shard`] — a separate id
-/// space from [`SessionId`], equally generation-checked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SharedSessionId {
-    pub(crate) idx: u32,
-    pub(crate) gen: u32,
-}
-
-/// A single-threaded multiplexer of many live [`Session`]s — the unit the
+/// A single-threaded multiplexer of many live sessions — the unit the
 /// multi-core [`Runtime`](crate::Runtime) schedules, usable on its own
 /// wherever one thread is enough.
 ///
@@ -36,8 +31,11 @@ pub struct SharedSessionId {
 /// scheduler: hold the sessions in a shard, feed whichever stream has
 /// bytes, finish whichever closed. One thread comfortably drives tens of
 /// thousands of sessions this way (see `examples/session_multiplex.rs` and
-/// the `flux-bench` `concurrency` bin); each session keeps its own sink,
-/// and the shard exposes aggregate buffer accounting. Plug in an
+/// the `flux-bench` `concurrency` bin); each session keeps its own sinks,
+/// and the shard exposes aggregate buffer accounting. Every session has
+/// one shape — [`Shard::open`] a query for one subscriber,
+/// [`Shard::open_shared`] a [`SubscriptionSet`] for M — and one slot store
+/// keyed by one [`SessionId`]. Plug in an
 /// [`AdmissionController`](crate::AdmissionController) (or any
 /// [`BudgetHook`]) with [`Shard::with_budget`] and every session opened on
 /// the shard charges the shared budget — [`Shard::feed`] then reports
@@ -68,14 +66,9 @@ pub struct SharedSessionId {
 /// assert!(shard.is_empty());
 /// ```
 pub struct Shard<S: Sink> {
-    slots: Vec<(u32, Option<Session<S>>)>,
+    slots: Vec<(u32, Option<SharedSession<S>>)>,
     free: Vec<u32>,
     live: usize,
-    /// Shared fan-out sessions, in their own slot space (most shards never
-    /// open one; single-query sessions stay on the dense hot path).
-    shared: Vec<(u32, Option<SharedSession<S>>)>,
-    shared_free: Vec<u32>,
-    shared_live: usize,
     /// Shared budget every session opened here charges (None = unbudgeted).
     budget: Option<Arc<dyn BudgetHook>>,
 }
@@ -100,23 +93,23 @@ impl<S: Sink> Shard<S> {
     }
 
     fn build(budget: Option<Arc<dyn BudgetHook>>) -> Shard<S> {
-        Shard {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            shared: Vec::new(),
-            shared_free: Vec::new(),
-            shared_live: 0,
-            budget,
-        }
+        Shard { slots: Vec::new(), free: Vec::new(), live: 0, budget }
     }
 
     /// Open a new session for `query`, writing to `sink`.
     pub fn open(&mut self, query: &PreparedQuery, sink: S) -> SessionId {
-        let session = match &self.budget {
-            Some(hook) => query.session_with_budget(sink, Arc::clone(hook)),
-            None => query.session(sink),
-        };
+        self.insert(SharedSession::new(query.plan_of_one(), vec![sink], self.budget.clone(), true))
+    }
+
+    /// Open a shared fan-out session over a compiled [`SubscriptionSet`]:
+    /// one parse, `set.len()` subscribers, one sink each (in
+    /// [`SubscriptionSet::ids`] order). Shares the shard's budget hook
+    /// like every single-query session.
+    pub fn open_shared(&mut self, set: &SubscriptionSet, sinks: Vec<S>) -> SessionId {
+        self.insert(SharedSession::new(set.plan_arc(), sinks, self.budget.clone(), false))
+    }
+
+    fn insert(&mut self, session: SharedSession<S>) -> SessionId {
         self.live += 1;
         match self.free.pop() {
             Some(idx) => {
@@ -132,14 +125,14 @@ impl<S: Sink> Shard<S> {
         }
     }
 
-    fn slot(&mut self, id: SessionId) -> &mut Session<S> {
+    fn slot(&mut self, id: SessionId) -> &mut SharedSession<S> {
         let (gen, session) = &mut self.slots[id.idx as usize];
         assert_eq!(*gen, id.gen, "stale SessionId: that session already finished");
         session.as_mut().expect("session present while the generation matches")
     }
 
     /// Close a slot, bumping its generation so stale ids are caught.
-    fn take(&mut self, id: SessionId) -> Session<S> {
+    fn take(&mut self, id: SessionId) -> SharedSession<S> {
         let (gen, session) = &mut self.slots[id.idx as usize];
         assert_eq!(*gen, id.gen, "stale SessionId: that session already finished");
         let s = session.take().expect("session present while the generation matches");
@@ -149,160 +142,88 @@ impl<S: Sink> Shard<S> {
         s
     }
 
-    /// Feed a chunk to one session ([`Session::feed_outcome`]): on
+    /// Feed a chunk to one session ([`SharedSession::feed_outcome`]) — the
+    /// one tokenization that drives all its subscribers. On
     /// [`FeedOutcome::Backpressure`] the chunk was refused — re-feed the
     /// same bytes once [`Shard::resume`] succeeds (budget frees when other
     /// sessions release buffers). Use
-    /// [`session(id).feed(..)`](Session::feed) to bypass the admission
-    /// gate for bytes already committed.
+    /// [`session(id).feed(..)`](SharedSession::feed) to bypass the
+    /// admission gate for bytes already committed.
     pub fn feed(&mut self, id: SessionId, chunk: &[u8]) -> Result<FeedOutcome, FluxError> {
         self.slot(id).feed_outcome(chunk)
     }
 
     /// Re-check the admission gate for a session whose chunk was refused
-    /// ([`Session::resume`]).
+    /// ([`SharedSession::resume`]).
     pub fn resume(&mut self, id: SessionId) -> Result<FeedOutcome, FluxError> {
         self.slot(id).resume()
     }
 
-    /// Finish one session and release its slot ([`Session::finish`]).
+    /// Finish a one-subscriber session and release its slot
+    /// ([`Session::finish`](crate::Session::finish)).
     pub fn finish(&mut self, id: SessionId) -> Result<Finished<S>, FluxError> {
-        self.take(id).finish()
+        let (res, sink) = self.finish_parts(id);
+        let stats = res?;
+        Ok(Finished { stats, sink: sink.expect("sink present when the run succeeded") })
     }
 
-    /// Finish one session, recovering the sink on failure too
-    /// ([`Session::finish_parts`]).
+    /// Finish a one-subscriber session, recovering the sink on failure too
+    /// ([`Session::finish_parts`](crate::Session::finish_parts)).
+    ///
+    /// # Panics
+    /// If the session has more than one subscriber; use
+    /// [`Shard::finish_shared`] for those.
     pub fn finish_parts(&mut self, id: SessionId) -> (Result<RunStats, FluxError>, Option<S>) {
+        let mut outs = self.finish_shared(id);
+        assert_eq!(outs.len(), 1, "finish addresses a one-subscriber session; use finish_shared");
+        outs.pop().expect("one subscriber")
+    }
+
+    /// Finish any session, releasing its slot: one entry per subscriber
+    /// ([`SharedSession::finish_parts`]).
+    #[allow(clippy::type_complexity)]
+    pub fn finish_shared(
+        &mut self,
+        id: SessionId,
+    ) -> Vec<(Result<RunStats, FluxError>, Option<S>)> {
         self.take(id).finish_parts()
     }
 
     /// Drop one session mid-stream (its slot is released, and so is
-    /// everything it charged to the shared budget; no output is produced
-    /// beyond what already streamed to its sink).
+    /// everything its subscribers charged to the shared budget; no output
+    /// is produced beyond what already streamed to its sinks).
     pub fn abort(&mut self, id: SessionId) {
         drop(self.take(id));
     }
 
+    /// Abort a single subscriber of a session
+    /// ([`SharedSession::abort_sub`]); the parse keeps running for the
+    /// rest. `None` if that subscriber was already aborted or `sub` is out
+    /// of range.
+    pub fn abort_shared_sub(&mut self, id: SessionId, sub: usize) -> Option<S> {
+        self.slot(id).abort_sub(sub)
+    }
+
     /// Direct access to one live session.
-    pub fn session(&mut self, id: SessionId) -> &mut Session<S> {
+    pub fn session(&mut self, id: SessionId) -> &mut SharedSession<S> {
         self.slot(id)
     }
 
-    /// Open a shared fan-out session over a compiled [`SubscriptionSet`]:
-    /// one parse, `set.len()` subscribers, one sink each (in
-    /// [`SubscriptionSet::ids`] order). Shares the shard's budget hook
-    /// like every single-query session.
-    pub fn open_shared(&mut self, set: &SubscriptionSet, sinks: Vec<S>) -> SharedSessionId {
-        let session = match &self.budget {
-            Some(hook) => set.session_with_budget(sinks, Arc::clone(hook)),
-            None => set.session(sinks),
-        };
-        self.shared_live += 1;
-        match self.shared_free.pop() {
-            Some(idx) => {
-                let slot = &mut self.shared[idx as usize];
-                slot.1 = Some(session);
-                SharedSessionId { idx, gen: slot.0 }
-            }
-            None => {
-                let idx =
-                    u32::try_from(self.shared.len()).expect("fewer than 2^32 shared sessions");
-                self.shared.push((0, Some(session)));
-                SharedSessionId { idx, gen: 0 }
-            }
-        }
-    }
-
-    fn shared_slot(&mut self, id: SharedSessionId) -> &mut SharedSession<S> {
-        let (gen, session) = &mut self.shared[id.idx as usize];
-        assert_eq!(*gen, id.gen, "stale SharedSessionId: that session already finished");
-        session.as_mut().expect("shared session present while the generation matches")
-    }
-
-    fn take_shared(&mut self, id: SharedSessionId) -> SharedSession<S> {
-        let (gen, session) = &mut self.shared[id.idx as usize];
-        assert_eq!(*gen, id.gen, "stale SharedSessionId: that session already finished");
-        let s = session.take().expect("shared session present while the generation matches");
-        *gen += 1;
-        self.shared_free.push(id.idx);
-        self.shared_live -= 1;
-        s
-    }
-
-    /// Feed a chunk to a shared session
-    /// ([`SharedSession::feed_outcome`]) — the one tokenization that
-    /// drives all its subscribers. Backpressure is stream-level: on
-    /// [`FeedOutcome::Backpressure`] the chunk was refused for the whole
-    /// fan-out; re-feed after [`Shard::resume_shared`] succeeds.
-    pub fn feed_shared(
-        &mut self,
-        id: SharedSessionId,
-        chunk: &[u8],
-    ) -> Result<FeedOutcome, FluxError> {
-        self.shared_slot(id).feed_outcome(chunk)
-    }
-
-    /// Re-check the admission gate for a stalled shared session.
-    pub fn resume_shared(&mut self, id: SharedSessionId) -> Result<FeedOutcome, FluxError> {
-        self.shared_slot(id).resume()
-    }
-
-    /// Finish a shared session, releasing its slot: one entry per
-    /// subscriber ([`SharedSession::finish_parts`]).
-    #[allow(clippy::type_complexity)]
-    pub fn finish_shared(
-        &mut self,
-        id: SharedSessionId,
-    ) -> Vec<(Result<RunStats, FluxError>, Option<S>)> {
-        self.take_shared(id).finish_parts()
-    }
-
-    /// Drop a whole shared session mid-stream, releasing its slot and
-    /// everything its subscribers charged to the shared budget.
-    pub fn abort_shared(&mut self, id: SharedSessionId) {
-        drop(self.take_shared(id));
-    }
-
-    /// Abort a single subscriber of a shared session
-    /// ([`SharedSession::abort_sub`]); the parse keeps running for the
-    /// rest.
-    pub fn abort_shared_sub(&mut self, id: SharedSessionId, sub: usize) -> Option<S> {
-        self.shared_slot(id).abort_sub(sub)
-    }
-
-    /// Direct access to one live shared session.
-    pub fn shared_session(&mut self, id: SharedSessionId) -> &mut SharedSession<S> {
-        self.shared_slot(id)
-    }
-
-    /// Number of live single-query sessions.
+    /// Number of live sessions.
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// Number of live shared fan-out sessions.
-    pub fn shared_len(&self) -> usize {
-        self.shared_live
-    }
-
-    /// Is the shard empty (no live sessions of either kind)?
+    /// Is the shard empty (no live sessions)?
     pub fn is_empty(&self) -> bool {
-        self.live == 0 && self.shared_live == 0
+        self.live == 0
     }
 
-    /// Total bytes held across all live sessions of both kinds (buffers,
-    /// captures, and unparsed input tails) — the admission-control
-    /// quantity for a multi-tenant service.
+    /// Total bytes held across all live sessions (buffers, captures, and
+    /// unparsed input tails) — the admission-control quantity for a
+    /// multi-tenant service.
     pub fn buffered_bytes(&self) -> usize {
-        let single: usize =
-            self.slots.iter().filter_map(|(_, s)| s.as_ref()).map(Session::buffered_bytes).sum();
-        let shared: usize = self
-            .shared
-            .iter()
-            .filter_map(|(_, s)| s.as_ref())
-            .map(SharedSession::buffered_bytes)
-            .sum();
-        single + shared
+        self.slots.iter().filter_map(|(_, s)| s.as_ref()).map(SharedSession::buffered_bytes).sum()
     }
 }
 
@@ -354,31 +275,32 @@ mod tests {
         let mut shard = Shard::new();
         let single = shard.open(&q, StringSink::new());
         let shared = shard.open_shared(&set, vec![StringSink::new(), StringSink::new()]);
-        assert_eq!(shard.len(), 1);
-        assert_eq!(shard.shared_len(), 1);
+        assert_eq!(shard.len(), 2);
         assert!(!shard.is_empty());
         for chunk in DOC.as_bytes().chunks(5) {
             let _ = shard.feed(single, chunk).unwrap();
-            let _ = shard.feed_shared(shared, chunk).unwrap();
+            let _ = shard.feed(shared, chunk).unwrap();
         }
-        assert_eq!(shard.resume_shared(shared).unwrap(), FeedOutcome::Accepted);
+        assert_eq!(shard.resume(shared).unwrap(), FeedOutcome::Accepted);
+        shard.finish(single).unwrap();
         for (res, sink) in shard.finish_shared(shared) {
             res.unwrap();
             assert_eq!(sink.unwrap().as_str(), reference.output);
         }
-        shard.finish(single).unwrap();
         assert!(shard.is_empty());
-        // Slot reuse bumps the generation; stale shared ids must panic.
+        // One slot store: the last slot freed is reused first, with its
+        // generation bumped; stale ids must panic.
         let again = shard.open_shared(&set, vec![StringSink::new(), StringSink::new()]);
         assert_eq!(again.idx, shared.idx);
         assert_ne!(again.gen, shared.gen);
         let stale = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shard.feed_shared(shared, b"x").ok();
+            shard.feed(shared, b"x").ok();
         }));
         assert!(stale.is_err(), "stale shared id must panic");
         let sink = shard.abort_shared_sub(again, 0).expect("sub abort yields the sink");
         let _ = sink.into_string();
-        shard.abort_shared(again);
+        assert!(shard.abort_shared_sub(again, 2).is_none(), "out-of-range sub is a no-op");
+        shard.abort(again);
         assert!(shard.is_empty());
     }
 

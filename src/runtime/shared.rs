@@ -1,14 +1,23 @@
-//! One incremental parse fanned out to M subscriptions.
+//! The one session implementation: one incremental parse driving 1..M
+//! subscriptions.
 //!
-//! [`SharedSession`] is to a [`SubscriptionSet`](crate::SubscriptionSet)
-//! what [`Session`](crate::Session) is to a single
-//! [`PreparedQuery`](crate::PreparedQuery): a plain resumable value — one
-//! incremental reader plus an engine-level
-//! [`FanoutDriver`](flux_engine::FanoutDriver) — fed chunk by chunk on the
-//! caller's thread. The document is tokenized **once**; every resolved
-//! event fans out to the subscriptions still interested in the current
-//! subtree (the rest are parked, see `flux_engine::fanout`), and each
-//! subscriber keeps its own sink, statistics and budget charges.
+//! [`SharedSession`] is a plain resumable value — one incremental reader
+//! plus an engine-level [`FanoutDriver`](flux_engine::FanoutDriver) — fed
+//! chunk by chunk on the caller's thread. The document is tokenized
+//! **once**; every event fans out to the subscriptions still interested
+//! in the current subtree (the rest are parked, see `flux_engine::fanout`),
+//! and each subscriber keeps its own sink, statistics and budget charges.
+//! A [`SubscriptionSet`](crate::SubscriptionSet) opens one with M
+//! subscribers; a [`Session`](crate::Session) is the same value with
+//! exactly one.
+//!
+//! One drain loop serves every shape: fill the event tape, dispatch it,
+//! repeat. While no subscriber is active — every live one parked inside a
+//! subtree the schedule proved it does not need — the loop does not even
+//! record events: it asks the reader to skip structurally
+//! ([`Reader::skip_events`]) up to the end tag the deepest parked
+//! subscriber wakes on. For one subscriber that is exactly the paper's
+//! skip of an unhandled subtree, at the tokenizer.
 //!
 //! The per-subscriber semantics are deliberate and pinned by tests:
 //!
@@ -33,16 +42,15 @@
 
 use std::sync::Arc;
 
-use flux_engine::{BudgetHook, EngineError, FanoutDriver, FanoutPlan, RunStats};
-use flux_xml::{
-    DeliveryMode, EventTape, FeedSource, Polled, Reader, Sink, TapeFill, TapeTelemetry, XmlError,
-};
+use flux_engine::{BudgetHook, EngineError, FanoutDriver, FanoutPlan, Pump, RunStats, SubTeardown};
+use flux_state::{StateError, KIND_SESSION, KIND_SHARED};
+use flux_xml::{EventTape, FeedSource, Reader, Sink, SkipPoll, TapeFill, TapeTelemetry, XmlError};
 
 use crate::error::FluxError;
 use crate::runtime::FeedOutcome;
 
-/// One shared incremental execution of a compiled
-/// [`SubscriptionSet`](crate::SubscriptionSet). See the [module docs](self).
+/// One incremental execution over 1..M subscriptions. See the
+/// [module docs](self).
 pub struct SharedSession<S: Sink> {
     reader: Reader<FeedSource>,
     driver: FanoutDriver<S>,
@@ -56,11 +64,11 @@ pub struct SharedSession<S: Sink> {
     /// identity it must restore against and so runtime layers can
     /// re-associate spilled/migrated state with its plan.
     plan: Arc<FanoutPlan>,
-    /// Event delivery mode, resolved once at construction (the
-    /// `FLUX_FORCE_PULL` kill switch wins over the compiled option).
-    delivery: DeliveryMode,
-    /// Reusable batch buffer for [`DeliveryMode::Tape`]; always drained
-    /// (and cleared) before the next feed, never serialized.
+    /// Opened for one prepared query ([`Session`](crate::Session)): it
+    /// snapshots as a single-query envelope, not a fan-out one.
+    single: bool,
+    /// Reusable batch buffer; always drained (and cleared) before the
+    /// next feed, never serialized.
     tape: EventTape,
     /// Stream-level tape telemetry, fanned out to every subscriber's
     /// [`RunStats`] at finish — one shared parse, one tape.
@@ -72,22 +80,30 @@ impl<S: Sink> SharedSession<S> {
         plan: Arc<FanoutPlan>,
         sinks: Vec<S>,
         budget: Option<Arc<dyn BudgetHook>>,
+        single: bool,
     ) -> SharedSession<S> {
+        let driver = FanoutDriver::new(&plan, sinks, budget.clone());
         let reader =
             Reader::incremental_with_symbols(plan.options().reader, Arc::clone(plan.symbols()));
-        let driver = match &budget {
-            Some(hook) => FanoutDriver::with_budget(&plan, sinks, Arc::clone(hook)),
-            None => FanoutDriver::new(&plan, sinks),
-        };
-        let delivery = plan.options().reader.delivery.resolved();
+        SharedSession::assemble(reader, driver, budget, false, plan, single)
+    }
+
+    fn assemble(
+        reader: Reader<FeedSource>,
+        driver: FanoutDriver<S>,
+        budget: Option<Arc<dyn BudgetHook>>,
+        paused: bool,
+        plan: Arc<FanoutPlan>,
+        single: bool,
+    ) -> SharedSession<S> {
         SharedSession {
             reader,
             driver,
             error: None,
             budget,
-            paused: false,
+            paused,
             plan,
-            delivery,
+            single,
             tape: EventTape::new(),
             tape_stats: TapeTelemetry::default(),
         }
@@ -97,11 +113,11 @@ impl<S: Sink> SharedSession<S> {
     /// completes is dispatched to all interested subscribers before the
     /// call returns. Chunks may split the XML at any byte boundary.
     ///
-    /// Returns [`FluxError::SessionAborted`] once the shared input has
-    /// failed to parse (per-subscriber failures do *not* abort the
-    /// session — see the [module docs](self)).
+    /// Returns [`FluxError::SessionAborted`] once the session has stopped
+    /// ([`SharedSession::is_aborted`]): one subscriber's failure does
+    /// *not* stop the others — see the [module docs](self).
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), FluxError> {
-        if self.error.is_some() {
+        if self.is_aborted() {
             return Err(FluxError::SessionAborted);
         }
         self.paused = false;
@@ -110,31 +126,32 @@ impl<S: Sink> SharedSession<S> {
         Ok(())
     }
 
-    /// [`SharedSession::feed`] behind the admission gate, mirroring
-    /// [`Session::feed_outcome`](crate::Session::feed_outcome): while the
+    /// [`SharedSession::feed`] behind the admission gate: while the
     /// shared budget is tight and no subscriber holds charges, the chunk
-    /// is refused ([`FeedOutcome::Backpressure`]) and nothing is absorbed.
-    /// One stalled *stream* parks all its subscribers — the stream-level
+    /// is refused ([`FeedOutcome::Backpressure`]) and nothing is absorbed
+    /// — re-feed the same bytes once [`SharedSession::resume`] reports
+    /// [`FeedOutcome::Accepted`]. A session whose subscribers hold charges
+    /// is always admitted: its progress is what releases them. One
+    /// stalled *stream* parks all its subscribers — the stream-level
     /// stall semantics pinned in the [module docs](self).
     pub fn feed_outcome(&mut self, chunk: &[u8]) -> Result<FeedOutcome, FluxError> {
-        if self.error.is_some() {
+        if self.is_aborted() {
             return Err(FluxError::SessionAborted);
         }
         if self.gated() {
             self.paused = true;
             return Ok(FeedOutcome::Backpressure);
         }
-        self.paused = false;
-        self.reader.feed(chunk);
-        self.drain();
+        self.feed(chunk)?;
         Ok(FeedOutcome::Accepted)
     }
 
     /// Re-check the admission gate after [`FeedOutcome::Backpressure`];
     /// [`FeedOutcome::Accepted`] means feeds are admitted again (the
-    /// refused chunk was never absorbed — re-feed it).
+    /// refused chunk was never absorbed — re-feed it). Cheap to call
+    /// speculatively: one atomic read.
     pub fn resume(&mut self) -> Result<FeedOutcome, FluxError> {
-        if self.error.is_some() {
+        if self.is_aborted() {
             return Err(FluxError::SessionAborted);
         }
         if self.gated() {
@@ -150,6 +167,10 @@ impl<S: Sink> SharedSession<S> {
         self.paused
     }
 
+    /// Is the admission gate closed right now? Keyed on the outstanding
+    /// shared-budget charges (not the local buffer count, which
+    /// `Top::Simple` plans never touch): a session with charges must keep
+    /// draining, because its progress is what releases them to the pool.
     fn gated(&self) -> bool {
         match &self.budget {
             Some(b) => b.should_pause() && self.driver.budget_charged() == 0,
@@ -157,49 +178,58 @@ impl<S: Sink> SharedSession<S> {
         }
     }
 
+    /// Run every subscriber over the fed bytes; a parse error is stored
+    /// for [`SharedSession::finish_parts`], like a one-shot run would
+    /// surface it.
     fn drain(&mut self) {
-        match self.delivery {
-            DeliveryMode::Tape => self.drain_tape(),
-            DeliveryMode::PerEvent => self.drain_pull(),
+        if let Err(e) = self.drain_tape() {
+            self.error = Some(e);
+        }
+        if self.single {
+            // A single-query snapshot records a pump fed every event.
+            self.driver.settle();
         }
     }
 
-    fn drain_pull(&mut self) {
+    /// The drain loop: while every subscriber is parked the reader skips
+    /// structurally; otherwise it fills a tape batch that the driver
+    /// dispatches. Events taped before a parse error are dispatched
+    /// first, so subscribers see exactly the prefix a per-event pull
+    /// would have delivered before the failure.
+    fn drain_tape(&mut self) -> Result<(), XmlError> {
         loop {
-            match self.reader.poll_resolved() {
-                // Dispatch is infallible at the stream level: a subscriber
-                // whose pump errors is detached inside the driver.
-                Ok(Polled::Event(ev)) => self.driver.feed_event(ev),
-                Ok(Polled::NeedMoreData | Polled::End) => return,
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
+            match self.driver.skip_parked(&mut self.reader, &mut self.tape)? {
+                Some(SkipPoll::More { events, .. }) => {
+                    self.tape_stats.events += events;
+                    self.tape_stats.fast_forwarded += events;
+                    return Ok(());
                 }
+                Some(SkipPoll::Closed { events }) => {
+                    self.tape_stats.events += events;
+                    self.tape_stats.fast_forwarded += events;
+                    // The closing tag, when the reader already committed it.
+                    self.dispatch();
+                }
+                None => {}
             }
-        }
-    }
-
-    /// Tape-mode drain: batch, dispatch, repeat. Events taped before a
-    /// parse error are dispatched first, so subscribers see exactly the
-    /// prefix a per-event pull would have delivered before the failure.
-    fn drain_tape(&mut self) {
-        loop {
             let fill = self.reader.fill_tape(&mut self.tape);
-            if !self.tape.is_empty() {
-                self.tape_stats.batches += 1;
-                self.tape_stats.events += self.tape.len() as u64;
-                self.tape_stats.fast_forwarded += self.driver.feed_tape(&self.reader, &self.tape);
-                self.tape.clear();
-            }
-            match fill {
-                Ok(TapeFill::Full) => {}
-                Ok(TapeFill::NeedMoreData | TapeFill::End) => return,
-                Err(e) => {
-                    self.error = Some(e);
-                    return;
-                }
+            self.dispatch();
+            match fill? {
+                TapeFill::Full => {}
+                TapeFill::NeedMoreData | TapeFill::End => return Ok(()),
             }
         }
+    }
+
+    /// Hand the filled tape (if any) to the driver and clear it.
+    fn dispatch(&mut self) {
+        if self.tape.is_empty() {
+            return;
+        }
+        self.tape_stats.batches += 1;
+        self.tape_stats.events += self.tape.len() as u64;
+        self.tape_stats.fast_forwarded += self.driver.feed_tape(&self.reader, &self.tape);
+        self.tape.clear();
     }
 
     /// Number of subscriptions (in any state).
@@ -217,10 +247,11 @@ impl<S: Sink> SharedSession<S> {
         self.driver.live_subscribers()
     }
 
-    /// Has the shared input failed to parse? (Fatal for all subscribers;
-    /// the cause is fanned out by [`SharedSession::finish_parts`].)
+    /// Has the session stopped — the shared input failed to parse (fatal
+    /// for all subscribers), or no subscriber is left live? The causes are
+    /// reported by [`SharedSession::finish_parts`].
     pub fn is_aborted(&self) -> bool {
-        self.error.is_some()
+        self.error.is_some() || self.driver.live_subscribers() == 0
     }
 
     /// Has subscriber `i` failed on its own engine error?
@@ -231,7 +262,8 @@ impl<S: Sink> SharedSession<S> {
     /// Abort one subscriber mid-stream: its sink comes back with the
     /// output streamed so far (no end-of-input epilogue), its buffers and
     /// budget charges are released, and the shared parse continues for
-    /// everyone else. `None` if `i` was already aborted.
+    /// everyone else. `None` if `i` was already aborted or is out of
+    /// range.
     pub fn abort_sub(&mut self, i: usize) -> Option<S> {
         self.driver.abort_sub(i)
     }
@@ -247,40 +279,53 @@ impl<S: Sink> SharedSession<S> {
         self.driver.budget_charged()
     }
 
-    /// Serialize the complete resumable state of the shared session —
-    /// reader window plus **all M subscriber pumps** (active, parked,
-    /// failed and detached alike) and the wake schedule — into a
-    /// `flux-state` envelope. Restores via
+    /// Serialize the complete resumable state — reader window plus **all
+    /// M subscriber pumps** (active, parked, failed and detached alike)
+    /// and the wake schedule — into a `flux-state` envelope. Restores via
     /// [`SubscriptionSet::restore_session`](crate::SubscriptionSet::restore_session)
     /// against a set with the same queries in the same order; resumed
     /// subscribers produce byte-identical output to never having
-    /// snapshotted. Refuses once the shared input has failed to parse.
+    /// snapshotted. A session opened for one prepared query writes the
+    /// single-query envelope instead (see
+    /// [`Session::snapshot`](crate::Session::snapshot)). Refuses once the
+    /// shared input has failed to parse.
     pub fn snapshot(&self) -> Result<Vec<u8>, FluxError> {
-        if self.error.is_some() {
-            return Err(FluxError::Snapshot(flux_state::StateError::NotQuiescent(
-                "shared session has failed; finish_parts() reports the cause",
-            )));
+        let pump = if self.single { self.driver.live_pump(0) } else { None };
+        if self.error.is_some() || (self.single && pump.is_none()) {
+            return Err(FluxError::Snapshot(StateError::NotQuiescent(if self.single {
+                "session has failed; finish_parts() reports the cause"
+            } else {
+                "shared session has failed; finish_parts() reports the cause"
+            })));
         }
         // Snapshots happen between feeds, and every feed drains its tape
         // batches to quiescence — the tape is transient and never
         // serialized, so its bytes must not (and cannot) reach the
         // envelope.
         debug_assert!(self.tape.is_empty(), "snapshot between feeds implies a drained tape");
+        let mut state = flux_state::Enc::new();
+        let (kind, fingerprint, section) = match pump {
+            Some(pump) => {
+                pump.state_save(&mut state).map_err(FluxError::Snapshot)?;
+                (KIND_SESSION, pump.plan().state_fingerprint(), flux_state::section::PUMP)
+            }
+            None => {
+                self.driver.state_save(&mut state).map_err(FluxError::Snapshot)?;
+                (KIND_SHARED, self.plan.state_fingerprint(), flux_state::section::FANOUT)
+            }
+        };
         let mut env = flux_state::Envelope::new();
 
         let mut meta = flux_state::Enc::new();
-        meta.put_u8(flux_state::KIND_SHARED);
-        meta.put_uint(self.plan.state_fingerprint());
+        meta.put_u8(kind);
+        meta.put_uint(fingerprint);
         meta.put_bool(self.paused);
         env.add(flux_state::section::META, meta);
 
         let mut reader = flux_state::Enc::new();
         self.reader.state_save(&mut reader).map_err(FluxError::Snapshot)?;
         env.add(flux_state::section::READER, reader);
-
-        let mut fanout = flux_state::Enc::new();
-        self.driver.state_save(&mut fanout).map_err(FluxError::Snapshot)?;
-        env.add(flux_state::section::FANOUT, fanout);
+        env.add(section, state);
 
         let mut budget = flux_state::Enc::new();
         budget.put_usize(self.driver.budget_charged());
@@ -289,32 +334,39 @@ impl<S: Sink> SharedSession<S> {
         Ok(env.into_bytes())
     }
 
-    /// Rebuild a shared session from [`SharedSession::snapshot`] bytes.
-    /// `sinks` holds one fresh sink per subscription in set order; `None`
-    /// is allowed exactly for subscribers the snapshot records as detached
-    /// (their sinks were handed back before the snapshot).
+    /// Rebuild a session from [`SharedSession::snapshot`] bytes of the
+    /// expected shape (`single`: a one-query envelope). `sinks` holds one
+    /// fresh sink per subscription in set order; `None` is allowed exactly
+    /// for subscribers the snapshot records as detached (their sinks were
+    /// handed back before the snapshot). Recorded budget charges are
+    /// re-granted through `budget` (refusal fails the restore with
+    /// [`StateError::BudgetDenied`], charging nothing); with `pre_granted`
+    /// the caller already reserved them (see
+    /// [`flux_state::snapshot_charges`]) and the restore adopts the
+    /// reservation instead of growing again.
     pub(crate) fn restore(
         plan: Arc<FanoutPlan>,
-        sinks: Vec<Option<S>>,
+        mut sinks: Vec<Option<S>>,
         budget: Option<Arc<dyn BudgetHook>>,
         snapshot: &[u8],
         pre_granted: bool,
+        single: bool,
     ) -> Result<SharedSession<S>, FluxError> {
         let sections = flux_state::Sections::parse(snapshot).map_err(FluxError::Snapshot)?;
         let mut meta = sections.require(flux_state::section::META).map_err(FluxError::Snapshot)?;
         let kind = meta.get_u8().map_err(FluxError::Snapshot)?;
-        if kind != flux_state::KIND_SHARED {
-            return Err(FluxError::Snapshot(flux_state::StateError::Corrupt(
-                "snapshot holds a single-query session, not a shared fan-out one",
-            )));
+        if kind != if single { KIND_SESSION } else { KIND_SHARED } {
+            return Err(FluxError::Snapshot(StateError::Corrupt(if single {
+                "snapshot holds a shared fan-out session, not a single-query one"
+            } else {
+                "snapshot holds a single-query session, not a shared fan-out one"
+            })));
         }
         let found = meta.get_uint().map_err(FluxError::Snapshot)?;
-        let expected = plan.state_fingerprint();
+        let expected =
+            if single { plan.queries()[0].state_fingerprint() } else { plan.state_fingerprint() };
         if found != expected {
-            return Err(FluxError::Snapshot(flux_state::StateError::PlanMismatch {
-                expected,
-                found,
-            }));
+            return Err(FluxError::Snapshot(StateError::PlanMismatch { expected, found }));
         }
         let paused = meta.get_bool().map_err(FluxError::Snapshot)?;
 
@@ -324,32 +376,35 @@ impl<S: Sink> SharedSession<S> {
             Reader::state_restore(plan.options().reader, Arc::clone(plan.symbols()), &mut rdec)
                 .map_err(FluxError::Snapshot)?;
 
-        let mut fdec =
-            sections.require(flux_state::section::FANOUT).map_err(FluxError::Snapshot)?;
-        let driver = if pre_granted {
-            FanoutDriver::state_load_pregranted(&plan, sinks, budget.clone(), &mut fdec)
+        let driver = if single {
+            let mut dec =
+                sections.require(flux_state::section::PUMP).map_err(FluxError::Snapshot)?;
+            let query = Arc::clone(&plan.queries()[0]);
+            let sink = sinks.pop().flatten().expect("a single-query session has its sink");
+            let pump = Pump::state_load(query, sink, budget.clone(), &mut dec, pre_granted)
+                .map_err(FluxError::Snapshot)?;
+            let depth = u32::try_from(reader.depth()).map_err(|_| {
+                FluxError::Snapshot(StateError::Corrupt("element depth exceeds u32"))
+            })?;
+            FanoutDriver::resume_one(pump, depth).map_err(FluxError::Snapshot)?
         } else {
-            FanoutDriver::state_load(&plan, sinks, budget.clone(), &mut fdec)
-        }
-        .map_err(FluxError::Snapshot)?;
-
-        let delivery = plan.options().reader.delivery.resolved();
-        Ok(SharedSession {
-            reader,
-            driver,
-            error: None,
-            budget,
-            paused,
-            plan,
-            delivery,
-            tape: EventTape::new(),
-            tape_stats: TapeTelemetry::default(),
-        })
+            let mut dec =
+                sections.require(flux_state::section::FANOUT).map_err(FluxError::Snapshot)?;
+            FanoutDriver::state_load(&plan, sinks, budget.clone(), &mut dec, pre_granted)
+                .map_err(FluxError::Snapshot)?
+        };
+        Ok(SharedSession::assemble(reader, driver, budget, paused, plan, single))
     }
 
     /// The compiled fan-out plan this session executes.
     pub(crate) fn plan_arc(&self) -> Arc<FanoutPlan> {
         Arc::clone(&self.plan)
+    }
+
+    /// Was this session opened for one prepared query (a
+    /// [`Session`](crate::Session))?
+    pub(crate) fn is_single(&self) -> bool {
+        self.single
     }
 
     /// Tear the session down and hand every subscriber's sink back without
@@ -362,23 +417,28 @@ impl<S: Sink> SharedSession<S> {
             .abort_all()
             .into_iter()
             .map(|t| match t {
-                flux_engine::SubTeardown::Detached => None,
-                flux_engine::SubTeardown::Failed(_, sink)
-                | flux_engine::SubTeardown::Aborted(sink) => Some(sink),
+                SubTeardown::Detached => None,
+                SubTeardown::Failed(_, sink) | SubTeardown::Aborted(sink) => Some(sink),
             })
             .collect()
     }
 
     /// Signal end of input and complete every subscription.
     ///
-    /// One entry per subscriber, in subscription order, mirroring
-    /// [`Session::finish_parts`](crate::Session::finish_parts): the
-    /// outcome plus the sink (returned on success *and* on failure; `None`
-    /// only for subscribers aborted earlier via
-    /// [`SharedSession::abort_sub`], whose sinks were already handed
-    /// back — their outcome reads [`FluxError::SessionAborted`]). Every
-    /// completed subscriber's output and statistics are identical to an
-    /// independent [`Session`](crate::Session) run over the same bytes.
+    /// One entry per subscriber, in subscription order: the outcome plus
+    /// the sink (returned on success *and* on failure; `None` only for
+    /// subscribers aborted earlier via [`SharedSession::abort_sub`], whose
+    /// sinks were already handed back — their outcome reads
+    /// [`FluxError::SessionAborted`]). A failed subscriber's sink holds
+    /// exactly what a one-shot run wrote before the same failure — no
+    /// end-of-input epilogue. Every completed subscriber's output and
+    /// statistics are identical to an independent one-shot run over the
+    /// same bytes.
+    ///
+    /// Finishing ignores the admission gate: the remaining input drains to
+    /// completion here, with the budget still strictly enforced — a charge
+    /// the shared pool genuinely cannot grant fails that subscriber with
+    /// [`EngineError::BudgetDenied`].
     #[allow(clippy::type_complexity)]
     pub fn finish_parts(mut self) -> Vec<(Result<RunStats, FluxError>, Option<S>)> {
         if self.error.is_none() {
@@ -394,11 +454,9 @@ impl<S: Sink> SharedSession<S> {
                 .abort_all()
                 .into_iter()
                 .map(|t| match t {
-                    flux_engine::SubTeardown::Detached => (Err(FluxError::SessionAborted), None),
-                    flux_engine::SubTeardown::Failed(e, sink) => {
-                        (Err(FluxError::Engine(e)), Some(sink))
-                    }
-                    flux_engine::SubTeardown::Aborted(sink) => {
+                    SubTeardown::Detached => (Err(FluxError::SessionAborted), None),
+                    SubTeardown::Failed(e, sink) => (Err(FluxError::Engine(e)), Some(sink)),
+                    SubTeardown::Aborted(sink) => {
                         (Err(FluxError::Engine(EngineError::Xml(xml.clone()))), Some(sink))
                     }
                 })

@@ -1,21 +1,22 @@
-//! Delivery-mode transparency: the batched event tape is a perf knob,
-//! never an observable one.
+//! Delivery transparency: the batched event tape and the reader-level
+//! subtree skip are perf machinery, never observable.
 //!
-//! Every test runs the same prepared query twice — once under the default
-//! [`DeliveryMode::Tape`], once with [`DeliveryMode::PerEvent`] forced
-//! through the builder — and asserts outputs, statistics and FLXS
-//! snapshot envelopes are **byte-identical**: at every two-chunk split
-//! offset, at every snapshot offset (including restoring a tape-mode
-//! snapshot into a per-event session and vice versa — the delivery mode
-//! is deliberately excluded from the plan fingerprint), through the
-//! `run_to` BufRead path with a tiny buffer, and across an M=3 shared
-//! fan-out session.
+//! The oracle is the engine's per-event reference run,
+//! [`CompiledQuery::run_sink`](flux::engine::CompiledQuery::run_sink): it
+//! pulls every event from a plain reader and feeds it to the machine —
+//! no tape, no batching, no skipping at the reader. Every session-level
+//! path must match it byte for byte, outputs and statistics: at every
+//! two-chunk split offset, through the `run_to` BufRead path with a tiny
+//! buffer, and for each subscriber of an M=3 shared fan-out. Snapshots
+//! taken at every offset restore, re-snapshot to identical bytes, and
+//! finish the reference. (The reader's own tape-vs-pull equivalence at
+//! every offset and scanner backend lives in
+//! `crates/xml/tests/tape_equivalence.rs`.)
 
 use std::io::BufReader;
 
 use flux::prelude::*;
 use flux::xmark::{generate_string, XmarkConfig, PAPER_QUERIES, XMARK_DTD};
-use flux::xml::DeliveryMode;
 
 const STRONG_DTD: &str = "<!ELEMENT bib (book)*>\
     <!ELEMENT book (title,(author+|editor+),publisher,price)>\
@@ -33,11 +34,14 @@ const STRONG_DOC: &str = "<bib>\
 const WEAK_DOC: &str = "<bib><book><title>T1</title><author>A1</author><title>T1b</title>\
     <author>Ä2</author></book><book><author>B1</author></book></bib>";
 
-/// The same DTD+query prepared under both delivery modes.
-fn prepare_pair(dtd: &str, query: &str) -> (PreparedQuery, PreparedQuery) {
-    let tape = Engine::builder().dtd_str(dtd).delivery(DeliveryMode::Tape).build().unwrap();
-    let pull = Engine::builder().dtd_str(dtd).delivery(DeliveryMode::PerEvent).build().unwrap();
-    (tape.prepare(query).unwrap(), pull.prepare(query).unwrap())
+fn prepare(dtd: &str, query: &str) -> PreparedQuery {
+    Engine::builder().dtd_str(dtd).build().unwrap().prepare(query).unwrap()
+}
+
+/// The per-event reference run: output and stats.
+fn reference(q: &PreparedQuery, doc: &str) -> (String, RunStats) {
+    let (res, sink) = q.compiled().run_sink(doc.as_bytes(), StringSink::new());
+    (sink.into_string(), res.unwrap())
 }
 
 /// Feed `doc` split at `at` into a session of `q` and return its outcome.
@@ -50,100 +54,82 @@ fn run_split(q: &PreparedQuery, doc: &[u8], at: usize) -> (RunStats, String) {
 }
 
 #[track_caller]
-fn assert_modes_agree(dtd: &str, query: &str, doc: &str) {
-    let (tape_q, pull_q) = prepare_pair(dtd, query);
-    let reference = pull_q.run_str(doc).unwrap();
-    // One-shot: the tape-mode run_str must match the per-event run.
-    let got = tape_q.run_str(doc).unwrap();
-    assert_eq!(got.output, reference.output, "one-shot output differs");
-    assert_eq!(got.stats, reference.stats, "one-shot stats differ");
-    // Every two-chunk split, both modes.
+fn assert_matches_reference(dtd: &str, query: &str, doc: &str) {
+    let q = prepare(dtd, query);
+    let (ref_out, ref_stats) = reference(&q, doc);
+    // One-shot: run_str drives a session over the tape.
+    let got = q.run_str(doc).unwrap();
+    assert_eq!(got.output, ref_out, "one-shot output differs");
+    assert_eq!(got.stats, ref_stats, "one-shot stats differ");
+    // Every two-chunk split.
     for at in 0..=doc.len() {
-        for (q, mode) in [(&tape_q, "tape"), (&pull_q, "pull")] {
-            let (stats, out) = run_split(q, doc.as_bytes(), at);
-            assert_eq!(out, reference.output, "{mode} output differs at split {at}");
-            assert_eq!(stats, reference.stats, "{mode} stats differ at split {at}");
-        }
+        let (stats, out) = run_split(&q, doc.as_bytes(), at);
+        assert_eq!(out, ref_out, "output differs at split {at}");
+        assert_eq!(stats, ref_stats, "stats differ at split {at}");
     }
 }
 
 #[test]
 fn streaming_plan_is_delivery_invariant_at_every_split() {
     // Zero-buffer plan: pure event-loop path, skip fast-forwarding live.
-    assert_modes_agree(STRONG_DTD, Q3, STRONG_DOC);
+    assert_matches_reference(STRONG_DTD, Q3, STRONG_DOC);
 }
 
 #[test]
 fn buffering_plan_is_delivery_invariant_at_every_split() {
     // The weak schema forces author buffering: capture/replay under tape
     // batches must byte-match the per-event run, peak included.
-    assert_modes_agree(WEAK_DTD, Q3, WEAK_DOC);
+    assert_matches_reference(WEAK_DTD, Q3, WEAK_DOC);
 }
 
 #[test]
 fn all_five_paper_queries_are_delivery_invariant() {
     let (doc, _) = generate_string(&XmarkConfig::new(2 << 10));
     for q in PAPER_QUERIES {
-        assert_modes_agree(XMARK_DTD, q.source, &doc);
+        assert_matches_reference(XMARK_DTD, q.source, &doc);
     }
 }
 
 #[test]
 fn run_to_buffered_reads_are_delivery_invariant() {
-    // The BufRead path with a 7-byte buffer: tape mode sees dozens of
-    // tiny feeds (every batch ends NeedMoreData), per-event pulls through
-    // the same chunks. Output bytes and stats must agree.
-    let (tape_q, pull_q) = prepare_pair(STRONG_DTD, Q3);
-    let reference = pull_q.run_str(STRONG_DOC).unwrap();
-    for q in [&tape_q, &pull_q] {
-        let mut sink = StringSink::new();
-        let reader = BufReader::with_capacity(7, STRONG_DOC.as_bytes());
-        let stats = q.run_to(reader, &mut sink).unwrap();
-        assert_eq!(sink.as_str(), reference.output);
-        assert_eq!(stats, reference.stats);
-    }
+    // The BufRead path with a 7-byte buffer: the session sees dozens of
+    // tiny feeds (every batch ends NeedMoreData). Output bytes and stats
+    // must agree with the per-event reference.
+    let q = prepare(STRONG_DTD, Q3);
+    let (ref_out, ref_stats) = reference(&q, STRONG_DOC);
+    let mut sink = StringSink::new();
+    let reader = BufReader::with_capacity(7, STRONG_DOC.as_bytes());
+    let stats = q.run_to(reader, &mut sink).unwrap();
+    assert_eq!(sink.as_str(), ref_out);
+    assert_eq!(stats, ref_stats);
 }
 
 #[test]
-fn snapshot_envelopes_are_byte_identical_across_modes_at_every_offset() {
-    // The FLXS v1 bytes must not know how events were delivered: snapshot
-    // the same prefix under both modes and compare envelopes byte for
-    // byte. Then cross-restore — tape snapshot into a per-event session
-    // and the reverse — and finish both against the reference.
-    let (tape_q, pull_q) = prepare_pair(STRONG_DTD, Q3);
+fn snapshots_restore_and_resnapshot_identically_at_every_offset() {
+    // At every offset: snapshot the prefix, restore it, and re-snapshot
+    // the restored session before it is fed — the FLXS v1 bytes must be
+    // identical (the tape and any pending reader-level skip leave no
+    // trace). Then finish the restored session against the reference.
+    let q = prepare(STRONG_DTD, Q3);
     let doc = STRONG_DOC.as_bytes();
-    let reference = pull_q.run_str(STRONG_DOC).unwrap();
+    let (ref_out, ref_stats) = reference(&q, STRONG_DOC);
     for at in 0..=doc.len() {
-        let snap_tape = {
-            let mut s = tape_q.session(flux_xml::writer::NullSink::default());
+        let snap = {
+            let mut s = q.session(flux_xml::writer::NullSink::default());
             s.feed(&doc[..at]).unwrap();
-            s.snapshot().unwrap_or_else(|e| panic!("tape snapshot at {at}: {e}"))
+            s.snapshot().unwrap_or_else(|e| panic!("snapshot at {at}: {e}"))
         };
-        let snap_pull = {
-            let mut s = pull_q.session(flux_xml::writer::NullSink::default());
-            s.feed(&doc[..at]).unwrap();
-            s.snapshot().unwrap_or_else(|e| panic!("pull snapshot at {at}: {e}"))
-        };
-        assert_eq!(snap_tape, snap_pull, "FLXS envelopes differ at offset {at}");
-
-        // Cross-mode restore: delivery mode is not part of the plan
-        // fingerprint, so a snapshot taken under either mode resumes
-        // under the other. The resumed suffix output must complete the
-        // reference exactly (the prefix streamed through the old sink).
-        for (q, snap, label) in
-            [(&pull_q, &snap_tape, "tape→pull"), (&tape_q, &snap_pull, "pull→tape")]
-        {
-            let mut resumed = q
-                .restore_session(StringSink::new(), snap)
-                .unwrap_or_else(|e| panic!("{label} restore at {at}: {e}"));
-            resumed.feed(&doc[at..]).unwrap();
-            let fin = resumed.finish().unwrap_or_else(|e| panic!("{label} finish at {at}: {e}"));
-            assert_eq!(fin.stats, reference.stats, "{label} stats differ at {at}");
-            assert!(
-                reference.output.ends_with(fin.sink.as_str()),
-                "{label} suffix output at {at} does not complete the reference"
-            );
-        }
+        let mut resumed = q
+            .restore_session(StringSink::new(), &snap)
+            .unwrap_or_else(|e| panic!("restore at {at}: {e}"));
+        assert_eq!(resumed.snapshot().unwrap(), snap, "re-snapshot differs at offset {at}");
+        resumed.feed(&doc[at..]).unwrap();
+        let fin = resumed.finish().unwrap_or_else(|e| panic!("finish at {at}: {e}"));
+        assert_eq!(fin.stats, ref_stats, "stats differ at {at}");
+        assert!(
+            ref_out.ends_with(fin.sink.as_str()),
+            "suffix output at {at} does not complete the reference"
+        );
     }
 }
 
@@ -158,73 +144,46 @@ fn shared_fanout_is_delivery_invariant_at_every_split() {
         <article><headline>H1</headline><author>B1</author></article>\
         <book><title>T2</title><author>A2</author></book>\
         </bib>";
-    let sets: Vec<SubscriptionSet> = [DeliveryMode::Tape, DeliveryMode::PerEvent]
-        .into_iter()
-        .map(|mode| {
-            let engine = Engine::builder().dtd_str(DTD).delivery(mode).build().unwrap();
-            let mut reg = QueryRegistry::new();
-            reg.register(
-                "books",
-                engine
-                    .prepare(
-                        "<books>{ for $b in $ROOT/bib/book return <hit> {$b/title} </hit> }</books>",
-                    )
-                    .unwrap(),
-            );
-            reg.register(
-                "articles",
-                engine
-                    .prepare(
-                        "<articles>{ for $a in $ROOT/bib/article return \
-                         <hit> {$a/headline} </hit> }</articles>",
-                    )
-                    .unwrap(),
-            );
-            SubscriptionSet::compile(&reg).unwrap()
-        })
-        .collect();
+    let engine = Engine::builder().dtd_str(DTD).build().unwrap();
+    let mut reg = QueryRegistry::new();
+    for (id, query) in [
+        ("books", "<books>{ for $b in $ROOT/bib/book return <hit> {$b/title} </hit> }</books>"),
+        (
+            "articles",
+            "<articles>{ for $a in $ROOT/bib/article return <hit> {$a/headline} </hit> }</articles>",
+        ),
+        ("authors", "<authors>{ for $b in $ROOT/bib/book return {$b/author} }</authors>"),
+    ] {
+        reg.register(id, engine.prepare(query).unwrap());
+    }
+    let set = SubscriptionSet::compile(&reg).unwrap();
+    assert_eq!(set.len(), 3);
 
-    // Per-event reference, fed one-shot.
-    let mut r = sets[1].session_strings();
-    r.feed(DOC.as_bytes()).unwrap();
-    let reference: Vec<(RunStats, String)> = r
-        .finish_parts()
-        .into_iter()
-        .map(|(res, sink)| (res.unwrap(), sink.unwrap().into_string()))
-        .collect();
+    // Independent per-event reference run for each subscriber.
+    let references: Vec<(String, RunStats)> =
+        set.ids().iter().map(|id| reference(reg.get(id).unwrap(), DOC)).collect();
 
     for at in 0..=DOC.len() {
-        for (set, mode) in [(&sets[0], "tape"), (&sets[1], "pull")] {
-            let mut s = set.session_strings();
-            s.feed(&DOC.as_bytes()[..at]).unwrap();
-            s.feed(&DOC.as_bytes()[at..]).unwrap();
-            for (i, ((res, sink), (ref_stats, ref_out))) in
-                s.finish_parts().into_iter().zip(&reference).enumerate()
-            {
-                let stats = res.unwrap_or_else(|e| panic!("{mode} sub {i} at {at}: {e}"));
-                assert_eq!(stats, *ref_stats, "{mode} sub {i} stats differ at split {at}");
-                assert_eq!(sink.unwrap().as_str(), *ref_out, "{mode} sub {i} at split {at}");
-            }
+        let mut s = set.session_strings();
+        s.feed(&DOC.as_bytes()[..at]).unwrap();
+        s.feed(&DOC.as_bytes()[at..]).unwrap();
+        for (i, ((res, sink), (ref_out, ref_stats))) in
+            s.finish_parts().into_iter().zip(&references).enumerate()
+        {
+            let stats = res.unwrap_or_else(|e| panic!("sub {i} at {at}: {e}"));
+            assert_eq!(stats, *ref_stats, "sub {i} stats differ at split {at}");
+            assert_eq!(sink.unwrap().as_str(), *ref_out, "sub {i} output differs at split {at}");
         }
     }
 }
 
 #[test]
 fn tape_telemetry_reflects_the_active_mode() {
-    // Not an equivalence property but the observability contract: tape
-    // runs report batches/events, per-event runs report zeros (the
+    // Not an equivalence property but the observability contract: session
+    // runs report batches and account for every event on the tape (the
     // counters are excluded from stats equality and snapshots).
-    let (tape_q, pull_q) = prepare_pair(STRONG_DTD, Q3);
-    let tape_stats = tape_q.run_str(STRONG_DOC).unwrap().stats;
-    if std::env::var_os("FLUX_FORCE_PULL").is_none_or(|v| v.is_empty()) {
-        assert!(tape_stats.tape.batches > 0, "tape run must count batches");
-        assert_eq!(tape_stats.tape.events, tape_stats.events, "every event rides the tape");
-    } else {
-        // The kill switch outranks the builder: even the tape-mode engine
-        // runs per-event and the counters stay zero.
-        assert_eq!(tape_stats.tape.batches, 0, "FLUX_FORCE_PULL must win over the builder");
-    }
-    let pull_stats = pull_q.run_str(STRONG_DOC).unwrap().stats;
-    assert_eq!(pull_stats.tape.batches, 0, "per-event run must not touch the tape");
-    assert_eq!(pull_stats.tape.events, 0);
+    let q = prepare(STRONG_DTD, Q3);
+    let stats = q.run_str(STRONG_DOC).unwrap().stats;
+    assert!(stats.tape.batches > 0, "tape run must count batches");
+    assert_eq!(stats.tape.events, stats.events, "every event rides the tape");
 }

@@ -12,7 +12,7 @@
 //! of `tests/session_chunking.rs` to the shared path.
 
 use flux::prelude::*;
-use flux::xmark::{generate_string, XmarkConfig, PAPER_QUERIES, XMARK_DTD};
+use flux::xmark::{generate_string, XmarkConfig, PAPER_QUERIES, Q1, XMARK_DTD};
 
 /// Chunk sizes exercising the resumable-parse seams: sub-token feeds,
 /// a prime stride, and a bulk stride.
@@ -123,5 +123,64 @@ fn shared_run_matches_independent_sessions_too() {
         let fin = s.finish().unwrap();
         assert_eq!(sink.unwrap().as_str(), fin.sink.as_str());
         assert_eq!(res.unwrap(), fin.stats);
+    }
+}
+
+/// The same Q1 text registered twice under two names: two subscribers
+/// that park and wake together.
+fn duplicate_q1(engine: &Engine) -> (QueryRegistry, SubscriptionSet) {
+    let mut registry = QueryRegistry::new();
+    registry.register("Q1", engine.prepare(Q1).unwrap());
+    registry.register("Q1-again", engine.prepare(Q1).unwrap());
+    let set = SubscriptionSet::compile_subset(&registry, &["Q1", "Q1-again"]).unwrap();
+    (registry, set)
+}
+
+/// The duplicate-Q1 pair at every two-chunk split of a small document:
+/// both subscribers byte-identical to the one-shot run.
+#[test]
+fn duplicate_subscribers_are_byte_identical_at_every_split() {
+    let engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
+    let (registry, set) = duplicate_q1(&engine);
+    let (doc, _) = generate_string(&XmarkConfig::new(2 << 10));
+    let reference = registry.get("Q1").unwrap().run_str(&doc).unwrap();
+    for at in 0..=doc.len() {
+        let mut s = set.session_strings();
+        s.feed(&doc.as_bytes()[..at]).unwrap();
+        s.feed(&doc.as_bytes()[at..]).unwrap();
+        for (i, (res, sink)) in s.finish_parts().into_iter().enumerate() {
+            let stats = res.unwrap_or_else(|e| panic!("sub {i} at split {at}: {e}"));
+            assert_eq!(sink.unwrap().as_str(), reference.output, "sub {i} at split {at}");
+            assert_eq!(stats, reference.stats, "sub {i} stats at split {at}");
+        }
+    }
+}
+
+/// While every subscriber is parked the shared session skips at the
+/// reader, exactly as a single-query session does: two Q1 subscribers
+/// record no more tape batches than one Q1 through its own session.
+#[test]
+fn all_parked_subscribers_skip_at_the_reader() {
+    let engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
+    let (registry, set) = duplicate_q1(&engine);
+    let (doc, _) = generate_string(&XmarkConfig::new(256 << 10));
+    let q1 = registry.get("Q1").unwrap();
+    let reference = q1.run_str(&doc).unwrap();
+
+    let mut single = q1.session_string();
+    let mut shared = set.session_strings();
+    for c in doc.as_bytes().chunks(4096) {
+        single.feed(c).unwrap();
+        shared.feed(c).unwrap();
+    }
+    let single = single.finish().unwrap();
+    assert_eq!(single.sink.as_str(), reference.output);
+    assert!(single.stats.events > 4 * 1024, "the document fills several tape batches");
+    assert!(single.stats.tape.fast_forwarded > 0, "Q1 skips subtrees at the reader");
+    for (i, (res, sink)) in shared.finish_parts().into_iter().enumerate() {
+        let stats = res.unwrap();
+        assert_eq!(sink.unwrap().as_str(), reference.output, "sub {i} output");
+        assert_eq!(stats, reference.stats, "sub {i} stats");
+        assert_eq!(stats.tape.batches, single.stats.tape.batches, "sub {i} tape batches");
     }
 }

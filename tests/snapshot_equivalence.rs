@@ -292,6 +292,105 @@ fn corrupt_and_truncated_snapshots_error_cleanly() {
 }
 
 #[test]
+fn a_pump_skipping_deeper_than_the_stream_is_open_is_refused() {
+    // Splice the READER section of a shallow snapshot (one element open)
+    // into snapshots taken inside skipped subtrees: the restored pump
+    // would skip deeper than the reader has elements open. Restore must
+    // refuse such bytes cleanly — never panic or mis-park.
+    use flux::state::{section, Enc, Envelope, Sections};
+    fn copy(snap: &[u8], id: u8) -> Enc {
+        let sections = Sections::parse(snap).unwrap();
+        let mut dec = sections.require(id).unwrap();
+        let mut enc = Enc::new();
+        while !dec.is_done() {
+            enc.put_u8(dec.get_u8().unwrap());
+        }
+        enc
+    }
+    let engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
+    let q1 = PAPER_QUERIES.iter().find(|q| q.name == "Q1").unwrap();
+    let q = engine.prepare(q1.source).unwrap();
+    let (doc, _) = generate_string(&XmarkConfig::new(4 << 10));
+    let snap_at = |at: usize| {
+        let mut s = q.session_string();
+        s.feed(&doc.as_bytes()[..at]).unwrap();
+        s.snapshot().unwrap()
+    };
+    let shallow = snap_at(doc.find("<site>").unwrap() + "<site>".len());
+    let mut refused = 0;
+    for at in 0..=doc.len() {
+        let deep = snap_at(at);
+        let mut env = Envelope::new();
+        env.add(section::META, copy(&deep, section::META));
+        env.add(section::READER, copy(&shallow, section::READER));
+        env.add(section::PUMP, copy(&deep, section::PUMP));
+        env.add(section::BUDGET, copy(&deep, section::BUDGET));
+        if let Err(e) = q.restore_session(StringSink::new(), &env.into_bytes()) {
+            assert!(e.to_string().contains("skip deeper"), "offset {at}: {e}");
+            refused += 1;
+        }
+    }
+    assert!(refused > 0, "some splice must put the pump deeper than the reader");
+}
+
+#[test]
+fn a_fanout_wake_depth_outside_the_open_elements_is_refused() {
+    // Rewrite the stream depth recorded at the end of the FANOUT section
+    // to 0 in snapshots of two Q1 subscribers: wherever they are parked,
+    // their wake depth then lies outside the open elements. Restore must
+    // refuse such bytes instead of trusting them.
+    use flux::state::{section, Enc, Envelope, Sections};
+    fn raw(snap: &[u8], id: u8) -> Vec<u8> {
+        let sections = Sections::parse(snap).unwrap();
+        let mut dec = sections.require(id).unwrap();
+        let mut out = Vec::new();
+        while !dec.is_done() {
+            out.push(dec.get_u8().unwrap());
+        }
+        out
+    }
+    fn enc(bytes: &[u8]) -> Enc {
+        let mut e = Enc::new();
+        bytes.iter().for_each(|&b| e.put_u8(b));
+        e
+    }
+    let engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
+    let q1 = PAPER_QUERIES.iter().find(|q| q.name == "Q1").unwrap();
+    let mut reg = QueryRegistry::new();
+    reg.register("a", engine.prepare(q1.source).unwrap());
+    reg.register("b", engine.prepare(q1.source).unwrap());
+    let set = SubscriptionSet::compile(&reg).unwrap();
+    let (doc, _) = generate_string(&XmarkConfig::new(4 << 10));
+    let mut refused = 0;
+    for at in 0..=doc.len() {
+        let mut s = set.session_strings();
+        s.feed(&doc.as_bytes()[..at]).unwrap();
+        let snap = s.snapshot().unwrap();
+        // The section ends with two LEB128 varints: depth, then events.
+        let fanout = raw(&snap, section::FANOUT);
+        let events_start =
+            fanout[..fanout.len() - 1].iter().rposition(|b| b & 0x80 == 0).unwrap() + 1;
+        let depth_start =
+            fanout[..events_start - 1].iter().rposition(|b| b & 0x80 == 0).map_or(0, |i| i + 1);
+        let mut forged = fanout[..depth_start].to_vec();
+        forged.push(0);
+        forged.extend_from_slice(&fanout[events_start..]);
+        let mut env = Envelope::new();
+        for id in [section::META, section::READER] {
+            env.add(id, enc(&raw(&snap, id)));
+        }
+        env.add(section::FANOUT, enc(&forged));
+        env.add(section::BUDGET, enc(&raw(&snap, section::BUDGET)));
+        let sinks = (0..set.len()).map(|_| Some(StringSink::new())).collect();
+        if let Err(e) = set.restore_session(sinks, &env.into_bytes()) {
+            assert!(e.to_string().contains("wake depth"), "offset {at}: {e}");
+            refused += 1;
+        }
+    }
+    assert!(refused > 0, "parked subscribers must make some forged depth inconsistent");
+}
+
+#[test]
 fn failed_sessions_refuse_to_snapshot() {
     let engine = Engine::builder().dtd_str(STRONG_DTD).build().unwrap();
     let q = engine.prepare(Q3).unwrap();
