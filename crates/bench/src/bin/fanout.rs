@@ -13,7 +13,10 @@
 //!
 //! Both modes run the same facade path (incremental sessions fed in equal
 //! chunks) and are verified against the one-shot reference stats, so the
-//! ratio compares work, not harness shape.
+//! ratio compares work, not harness shape. Each M also reports the
+//! *withheld share*: of all the events the shared subscribers counted, the
+//! fraction the driver never fed them because they were parked
+//! (`RunStats.tape.withheld`).
 //!
 //! Honours `FLUX_BENCH_SAMPLES` and `FLUX_BENCH_FAST=1` (CI smoke run:
 //! small document, M ∈ {1, 4, 16}).
@@ -38,6 +41,7 @@ struct Run {
     independent_seconds: f64,
     speedup: f64,
     shared_mb_per_s: f64,
+    withheld_share: f64,
 }
 
 fn main() {
@@ -65,6 +69,7 @@ fn main() {
 
         // ---- shared: one parse fanned out to all M subscribers ----
         let mut shared_best = f64::MAX;
+        let (mut withheld, mut counted) = (0u64, 0u64);
         for _ in 0..n {
             let t = Instant::now();
             let mut session = set.session((0..m).map(|_| NullSink::default()).collect());
@@ -78,6 +83,8 @@ fn main() {
                     references[i % STREAMING.len()],
                     "shared subscriber must match its one-shot run"
                 );
+                withheld += stats.tape.withheld;
+                counted += stats.events;
             }
             shared_best = shared_best.min(t.elapsed().as_secs_f64());
         }
@@ -104,9 +111,11 @@ fn main() {
 
         let speedup = indep_best / shared_best;
         let shared_mb_per_s = bytes.len() as f64 / 1e6 / shared_best;
+        let withheld_share = withheld as f64 / counted.max(1) as f64;
         println!(
             "fanout/M={m:<3} shared {shared_best:>8.4}s  independent {indep_best:>8.4}s  \
-             speedup {speedup:>6.2}x  (doc {}B, min of {n} samples)",
+             speedup {speedup:>6.2}x  withheld {:>5.1}%  (doc {}B, min of {n} samples)",
+            100.0 * withheld_share,
             bytes.len(),
         );
         runs.push(Run {
@@ -115,6 +124,7 @@ fn main() {
             independent_seconds: indep_best,
             speedup,
             shared_mb_per_s,
+            withheld_share,
         });
     }
 
@@ -140,13 +150,14 @@ fn render_section(doc_bytes: usize, samples: usize, runs: &[Run]) -> String {
         let _ = write!(
             out,
             "{}{{\"m\": {}, \"shared_seconds\": {:.6}, \"independent_seconds\": {:.6}, \
-             \"speedup\": {:.2}, \"shared_mb_per_s\": {:.2}}}",
+             \"speedup\": {:.2}, \"shared_mb_per_s\": {:.2}, \"withheld_share\": {:.4}}}",
             if i == 0 { "" } else { ", " },
             r.m,
             r.shared_seconds,
             r.independent_seconds,
             r.speedup,
             r.shared_mb_per_s,
+            r.withheld_share,
         );
     }
     out.push_str("]}");

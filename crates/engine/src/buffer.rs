@@ -81,6 +81,28 @@ impl Recorder {
         matches!(self.frames.last(), Some(RecFrame::Capture | RecFrame::Follow(_)))
     }
 
+    /// Is the most recently opened element skipped? Then nothing below it
+    /// is recorded either: every deeper level is skipped too.
+    pub(crate) fn is_skipping(&self) -> bool {
+        matches!(self.frames.last(), Some(RecFrame::Skip))
+    }
+
+    /// Move from `from` to `to` skipped levels below the current element
+    /// without observing the events in between — what a run of events
+    /// inside a skipped element would have done to the cursor.
+    pub(crate) fn shift_skip(&mut self, from: u32, to: u32) {
+        if to >= from {
+            self.frames.extend((from..to).map(|_| RecFrame::Skip));
+        } else {
+            let keep = self.frames.len().saturating_sub((from - to) as usize);
+            debug_assert!(
+                self.frames[keep..].iter().all(|f| matches!(f, RecFrame::Skip)),
+                "only skipped levels are shifted"
+            );
+            self.frames.truncate(keep);
+        }
+    }
+
     /// Would a child with this (interned) label be (partly) recorded right
     /// now? Used by the executor to decide whether a handled child must be
     /// captured rather than streamed.

@@ -8,7 +8,11 @@
 //! * the pruned [`BufferTree`] of every scope variable (Section 5, Π);
 //! * [`FlagSpec`] registrations for on-the-fly condition evaluation;
 //! * a streamable fast-path plan for *simple* `on`-handler bodies, so
-//!   fully-streaming queries copy subtrees without touching a buffer.
+//!   fully-streaming queries copy subtrees without touching a buffer;
+//! * a per-scope *rest-dead* table over the production's DFA states (see
+//!   `ScopeSpec::rest_dead`): where the DTD's `past` relation proves that
+//!   nothing the schedule does can react to any child still allowed, so a
+//!   driver may stop feeding the scope's remaining children.
 
 use std::fmt;
 use std::sync::Arc;
@@ -168,6 +172,19 @@ pub(crate) struct ScopeSpec {
     pub buffer_rt: RtTree,
     pub flags: Vec<FlagSpec>,
     pub allows_text: bool,
+    /// `rest_dead[q]`: once the scope's validating DFA sits in state `q`
+    /// between two children, the rest of the scope is dead — no handler,
+    /// condition flag or buffer path of this scope can react to any child
+    /// the content model still allows, so the remaining children only need
+    /// validating. Derived from the Appendix B relation `past(q, a)` (the
+    /// table a [`PastTable`] is built from): every `on a` label has
+    /// `past(q, a)`, every non-deferred `on-first past(S)` table already
+    /// holds at `q` (tables only ever turn true along transitions, so it has
+    /// fired), the first step of every own flag path is past, and the own
+    /// buffer tree has an unmarked root whose first-level steps are all
+    /// past. Empty when no state qualifies (always so for the document
+    /// scope), so the runtime check is one bounds test.
+    pub rest_dead: Vec<bool>,
 }
 
 impl ScopeSpec {
@@ -408,6 +425,7 @@ impl<'d> Compiler<'d> {
             buffer_rt: RtTree::default(),
             flags: Vec::new(),
             allows_text: prod.is_some_and(|p| p.allows_text()),
+            rest_dead: Vec::new(),
         });
         chain.push((var.to_string(), idx));
 
@@ -505,7 +523,46 @@ impl<'d> Compiler<'d> {
         for s in &mut self.scopes {
             s.buffer_tree.prune();
             s.buffer_rt = s.buffer_tree.compile(&mut self.symbols);
+            s.rest_dead = rest_dead_table(s, self.dtd, &self.symbols);
         }
+    }
+}
+
+/// The [`ScopeSpec::rest_dead`] table of one compiled scope.
+fn rest_dead_table(s: &ScopeSpec, dtd: &Dtd, symbols: &Symbols) -> Vec<bool> {
+    // The document scope ends at end of input, not at an end tag a driver
+    // could wake on; a marked root records every child.
+    let Some(ProdRef::Idx(i)) = s.prod else { return Vec::new() };
+    if s.buffer_tree.marked {
+        return Vec::new();
+    }
+    let p = dtd.production_at(i);
+    let (g, c) = (p.automaton(), p.constraints());
+    // Child labels that must no longer occur. Names outside symb(ρ) can
+    // never occur and need no entry.
+    let mut labels: Vec<u32> = Vec::new();
+    let mut tables: Vec<&PastTable> = Vec::new();
+    for h in &s.handlers {
+        match h {
+            CHandler::On { label_id, .. } => labels.extend(g.symbol_id(symbols.name(*label_id))),
+            CHandler::OnFirst { defer_to_end: true, .. } => {}
+            CHandler::OnFirst { table: Some(t), .. } => tables.push(t),
+            CHandler::OnFirst { table: None, .. } => return Vec::new(),
+        }
+    }
+    for f in &s.flags {
+        labels.extend(f.path.first().and_then(|step| g.symbol_id(step)));
+    }
+    for step in s.buffer_tree.children.keys() {
+        labels.extend(g.symbol_id(step));
+    }
+    let table: Vec<bool> = (0..g.n_states() as u32)
+        .map(|q| labels.iter().all(|&a| c.past(q, a)) && tables.iter().all(|t| t.holds(q)))
+        .collect();
+    if table.contains(&true) {
+        table
+    } else {
+        Vec::new()
     }
 }
 

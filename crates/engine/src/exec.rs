@@ -46,7 +46,7 @@ use flux_xml::{Event, EventBuf, NameId, Node, Reader, ResolvedEvent, Sink, Write
 use crate::budget::{Budget, BudgetHook};
 use crate::buffer::Recorder;
 use crate::compile::{
-    atom_is_join, atom_root_var, CBody, CHandler, CompiledQuery, EngineError, ScopeSpec,
+    atom_is_join, atom_root_var, CBody, CHandler, CompiledQuery, EngineError, ProdRef, ScopeSpec,
     SimpleItem, Top,
 };
 use crate::flags::FlagMatcher;
@@ -111,27 +111,66 @@ impl CompiledQuery {
 /// lets a shared multi-subscriber driver ([`crate::fanout::FanoutDriver`])
 /// stop feeding a pump that is provably indifferent to the next events.
 ///
-/// The claim behind [`StreamInterest::SkipSubtree`] is exact, not
-/// heuristic: while the machine is skipping an unhandled subtree *and* has
-/// no active observers, feeding it an event inside that subtree does
-/// nothing but bump the event counter and the skip depth — no output, no
-/// buffering, no budget traffic, no validation. A driver may therefore
-/// withhold those events entirely and later reconcile the counter with
-/// [`Pump::fast_forward_skip`] before delivering the end tag that closes
-/// the skipped subtree.
+/// Both claims are exact, not heuristic: feeding the pump the events a
+/// claim lets a driver withhold would change nothing but counters the
+/// driver reconciles on wake — no output, no buffering, no budget traffic,
+/// no handler firing. Observers (recorders and condition flags of the open
+/// scopes) do not prevent a claim as long as they are *inert* for the
+/// withheld events: no flag can still match or collect below the element
+/// the claim covers ([`FlagMatcher::may_change_below`] is false there) and
+/// no recorder records it (its top frame skips). Withheld events then only
+/// move their open-element counts, which reconciliation shifts back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamInterest {
     /// Every event matters (or withholding is not provably safe): keep
     /// feeding.
     All,
     /// The machine is inside a skipped subtree, currently `depth` levels
-    /// deep, with no observers. It next changes state at the end tag that
-    /// closes the element `depth` levels up; everything before that tag
-    /// may be withheld.
+    /// deep, with inert observers (with observers installed, only right at
+    /// the subtree's root, `depth == 1`: a flag that cannot change below
+    /// an inner element may still match a later sibling inside the
+    /// skipped subtree). It next changes state at the end tag that closes
+    /// the element `depth` levels up; everything before that tag may be
+    /// withheld and is reconciled with [`Pump::fast_forward_skip`].
     SkipSubtree {
         /// Current skip depth (≥ 1).
         depth: u32,
     },
+    /// The machine is between two children of a scope whose rest is dead
+    /// in DFA state `state` (the compiled `rest_dead` table, from DTD
+    /// `past`), with inert observers in the enclosing scopes. Until the
+    /// scope's end tag, the remaining children only need validating
+    /// against production `prod`'s automaton (children labels) and
+    /// `allows_text` (non-whitespace character data); the fan-out driver
+    /// does that for the pump, withholds everything, and reconciles it
+    /// before the event that ends the scope or breaks its content model.
+    SkipRest {
+        /// The scope element's production, [`flux_dtd::Dtd::production_at`].
+        prod: usize,
+        /// The scope's current validating DFA state.
+        state: u32,
+        /// May the scope element directly contain character data?
+        allows_text: bool,
+    },
+}
+
+/// What a driver saw at a rest-parked scope's child level while it
+/// withheld events from the pump ([`StreamInterest::SkipRest`]); applied by
+/// [`Pump::fast_forward_rest`].
+pub(crate) struct RestProgress<'a> {
+    /// The scope's validating DFA state after the withheld children.
+    pub state: u32,
+    /// Elements open inside the scope's current child (0 between
+    /// children).
+    pub depth: u32,
+    /// Events withheld since the pump was parked or last reconciled.
+    pub events: u64,
+    /// The last withheld child tag at the scope's level, as `(id, is_end)`.
+    pub tag: Option<(NameId, bool)>,
+    /// The last withheld character data at the scope's level.
+    pub text: Option<&'a str>,
+    /// Did that character data come after that tag?
+    pub text_last: bool,
 }
 
 /// A resumable, push-based execution of a [`CompiledQuery`].
@@ -232,17 +271,46 @@ impl<S: Sink> Pump<S> {
 
     /// Does this pump need the next events? See [`StreamInterest`].
     ///
-    /// Reports [`StreamInterest::SkipSubtree`] exactly when the machine is
-    /// in the bare-counter skip state with no observers installed: no
-    /// recorder or condition flag can see the withheld events (observers
-    /// are pushed only on scope entry, which cannot happen inside a skipped
-    /// subtree), no capture is in flight (the top frame is a scope frame),
-    /// and the skip path touches nothing but the event counter.
+    /// Reports [`StreamInterest::SkipSubtree`] when the machine is in the
+    /// bare-counter skip state with no observers, or right at the skipped
+    /// subtree's root with inert ones; no capture is in flight then (the
+    /// top frame is a scope frame) and the skip path touches nothing but
+    /// counters. Reports [`StreamInterest::SkipRest`] when the top frame is
+    /// a scope closed by an end tag, between children (no skip, no stashed
+    /// on-first handlers, no replays), its compiled table marks the rest of
+    /// the scope dead in the current DFA state, and the enclosing scopes'
+    /// observers are inert for the scope element.
     pub fn stream_interest(&self) -> StreamInterest {
-        if !self.st.failed && self.st.skip > 0 && self.st.observers.is_empty() {
-            StreamInterest::SkipSubtree { depth: self.st.skip }
-        } else {
-            StreamInterest::All
+        let st = &self.st;
+        if st.failed {
+            return StreamInterest::All;
+        }
+        if st.skip > 0 {
+            return if st.observers.is_empty() || (st.skip == 1 && inert(&self.plan, &st.observers))
+            {
+                StreamInterest::SkipSubtree { depth: st.skip }
+            } else {
+                StreamInterest::All
+            };
+        }
+        let Some(Frame::Scope(sf)) = st.frames.last() else { return StreamInterest::All };
+        let spec = &self.plan.scopes[sf.sidx];
+        if spec.rest_dead.get(sf.state as usize) != Some(&true)
+            || sf.term != Term::End
+            || !sf.rest.is_empty()
+            || !st.replays.is_empty()
+        {
+            return StreamInterest::All;
+        }
+        // The scope's own observer is inert for its dead rest by the
+        // table's construction; the enclosing ones must be inert for the
+        // whole scope element.
+        let outer = st.observers.len() - usize::from(sf.obs_created);
+        match spec.prod {
+            Some(ProdRef::Idx(prod)) if inert(&self.plan, &st.observers[..outer]) => {
+                StreamInterest::SkipRest { prod, state: sf.state, allows_text: spec.allows_text }
+            }
+            _ => StreamInterest::All,
         }
     }
 
@@ -256,7 +324,8 @@ impl<S: Sink> Pump<S> {
     /// handlers exactly as an unwithheld run would). Since the subtree is
     /// balanced, the logical skip depth just before that end tag is 1
     /// regardless of the depth at park time, and the only state the
-    /// withheld events would have changed is the event counter.
+    /// withheld events would have changed is the event counter (and the
+    /// inert observers' open-element counts, shifted back with the skip).
     pub fn fast_forward_skip(&mut self, skipped_events: u64) {
         self.fast_forward_skip_to(1, skipped_events);
     }
@@ -268,12 +337,55 @@ impl<S: Sink> Pump<S> {
     /// right before the closing tag.
     pub fn fast_forward_skip_to(&mut self, remaining_depth: u32, skipped_events: u64) {
         debug_assert!(
-            !self.st.failed && self.st.skip > 0 && self.st.observers.is_empty(),
+            !self.st.failed && self.st.skip > 0,
             "fast_forward_skip outside a SkipSubtree parking contract"
         );
         debug_assert!(remaining_depth >= 1, "a completed skip ends at its closing tag");
-        self.st.skip = remaining_depth;
-        self.st.stats.events += skipped_events;
+        let st = &mut self.st;
+        st.shift_observers(st.skip, remaining_depth);
+        st.skip = remaining_depth;
+        st.stats.events += skipped_events;
+        st.stats.tape.withheld += skipped_events;
+    }
+
+    /// Reconcile this pump after a driver withheld events under a
+    /// [`StreamInterest::SkipRest`] contract: the scope's DFA state, the
+    /// event counter, the skip depth inside the current child, the inert
+    /// observers' open-element counts and the current-event fields all
+    /// read as if every withheld event had been fed. Call it before the
+    /// event that ends the scope or violates its content model (then feed
+    /// that event normally), before end of input, or any time in between
+    /// to settle the pump for a snapshot.
+    pub(crate) fn fast_forward_rest(&mut self, p: &RestProgress<'_>) {
+        let st = &mut self.st;
+        match st.frames.last_mut() {
+            Some(Frame::Scope(sf)) if !st.failed => sf.state = p.state,
+            _ => {
+                debug_assert!(false, "fast_forward_rest outside a SkipRest parking contract");
+                return;
+            }
+        }
+        st.shift_observers(st.skip, p.depth);
+        st.skip = p.depth;
+        st.stats.events += p.events;
+        st.stats.tape.withheld += p.events;
+        if p.events > 0 {
+            st.cur_base = 0;
+        }
+        if let Some(t) = p.text {
+            st.cur_text.clear();
+            st.cur_text.push_str(t);
+            st.cur_text_ws = is_whitespace_text(t);
+        }
+        if let Some((id, is_end)) = p.tag {
+            st.cur_id = id;
+            st.cur_name.clear();
+            st.cur_name.push_str(self.plan.symbols.name(id));
+            st.cur_kind = if is_end { Pulled::End } else { Pulled::Start };
+        }
+        if p.text.is_some() && (p.text_last || p.tag.is_none()) {
+            st.cur_kind = Pulled::Text;
+        }
     }
 
     /// The compiled plan this pump executes.
@@ -549,18 +661,33 @@ fn load_current(
         ResolvedEvent::Text(t) => {
             cur_text.clear();
             cur_text.push_str(t);
-            // Byte-wise whitespace scan with an early exit on the first
-            // ASCII non-whitespace byte (the overwhelmingly common case);
-            // only text containing non-ASCII falls back to the full
-            // `char::is_whitespace` walk.
-            *cur_text_ws = match t.bytes().find(|b| !matches!(b, b' ' | 0x09..=0x0D)) {
-                None => true,
-                Some(b) if b.is_ascii() => false,
-                Some(_) => t.chars().all(char::is_whitespace),
-            };
+            *cur_text_ws = is_whitespace_text(t);
             *cur_kind = Pulled::Text;
         }
     }
+}
+
+/// Is this character data whitespace only — the test a scope whose content
+/// model allows no text applies before rejecting it? A byte-wise scan with
+/// an early exit on the first ASCII non-whitespace byte (the overwhelmingly
+/// common case); only text containing non-ASCII falls back to the full
+/// `char::is_whitespace` walk.
+#[inline]
+pub(crate) fn is_whitespace_text(t: &str) -> bool {
+    match t.bytes().find(|b| !matches!(b, b' ' | 0x09..=0x0D)) {
+        None => true,
+        Some(b) if b.is_ascii() => false,
+        Some(_) => t.chars().all(char::is_whitespace),
+    }
+}
+
+/// Are these observers inert below the innermost open element: no flag can
+/// still match or collect there, and no recorder records it?
+fn inert(plan: &CompiledQuery, observers: &[Observer]) -> bool {
+    observers.iter().all(|o| {
+        o.rec.as_ref().is_none_or(Recorder::is_skipping)
+            && plan.scopes[o.sidx].flags.iter().zip(&o.flags).all(|(fs, m)| !m.may_change_below(fs))
+    })
 }
 
 /// The `Top::Simple` accounting: the materialized tree's bytes, checked
@@ -917,6 +1044,22 @@ impl<S: Sink> Machine<S> {
             started,
             failed: false,
         })
+    }
+
+    /// Move every observer from `from` to `to` levels below the current
+    /// element, as the inert events a parked pump was not fed would have.
+    fn shift_observers(&mut self, from: u32, to: u32) {
+        if from == to {
+            return;
+        }
+        for o in &mut self.observers {
+            for m in &mut o.flags {
+                m.shift_open(from, to);
+            }
+            if let Some(rec) = &mut o.rec {
+                rec.shift_skip(from, to);
+            }
+        }
     }
 
     fn charge(&mut self, grew: usize) -> Result<(), EngineError> {

@@ -19,14 +19,35 @@
 //! * [`FanoutDriver`] — the run-time fan-out. M resumable [`Pump`]s advance
 //!   in lockstep over a single resolved-event stream; each keeps its own
 //!   sink, its own validation state, its own buffers and its own
-//!   [`BudgetHook`] charges. The driver exploits [`Pump::stream_interest`]:
-//!   a pump that is skipping an unhandled subtree with no observers is
-//!   *parked* — removed from the hot feed list and woken (with its event
-//!   counter reconciled via [`Pump::fast_forward_skip`]) exactly at the end
-//!   tag that closes the skipped subtree. On selective queries most
+//!   [`BudgetHook`] charges. The driver withholds from each pump every
+//!   event its compiled schedule provably cannot use
+//!   ([`Pump::stream_interest`]), in two ways:
+//!   - *Parked in a skipped subtree* ([`StreamInterest::SkipSubtree`]): a
+//!     pump skipping an unhandled child whose observers are inert there —
+//!     none at all, or condition flags that cannot match or collect below
+//!     the child and recorders that skip it — is removed from the hot feed
+//!     list and woken (its counters and inert observers reconciled via
+//!     [`Pump::fast_forward_skip`]) exactly at the end tag that closes the
+//!     skipped subtree.
+//!   - *Parked in a dead scope rest* ([`StreamInterest::SkipRest`]): between
+//!     two children of a scope whose compiled `rest_dead` table (from the
+//!     DTD's `past` relation, the relation behind Appendix B's
+//!     `PastTable`) shows that no handler, flag or buffer path can react to
+//!     any child still allowed, a pump joins the *rest group* of that scope
+//!     depth, production and DFA state. The driver validates the remaining
+//!     children once for the whole group on the shared Glushkov automaton
+//!     and wakes the group, reconciled via `Pump::fast_forward_rest`, at
+//!     the scope's end tag — or right before a child or character data the
+//!     content model rejects, or at end of input, so each pump reports its
+//!     own validation error exactly as an independent run would.
+//!
+//!   While every subscriber is parked, the driver scans the tape for the
+//!   wake depths and rest-group levels only, and the session layer skips
+//!   at the reader below the deepest of them. On selective queries most
 //!   subscribers are parked through most of the document, so the marginal
 //!   cost of a subscription approaches an integer compare per *element
-//!   close at its wake depth* instead of per event.
+//!   close at its wake depth* (or per child at its rest-group level)
+//!   instead of per event.
 //!
 //! Per-subscriber failure is isolated: a pump that errors is detached (its
 //! error and sink are surfaced at [`FanoutDriver::finish`]) and every other
@@ -54,7 +75,7 @@ use flux_xml::{
 
 use crate::budget::BudgetHook;
 use crate::compile::{CBody, CHandler, CompiledQuery, EngineError, EngineOptions, Top};
-use crate::exec::{Pump, StreamInterest};
+use crate::exec::{is_whitespace_text, Pump, RestProgress, StreamInterest};
 use crate::stats::RunStats;
 
 /// One subscription handed to [`FanoutPlan::compile`]: the scheduled FluX
@@ -330,6 +351,15 @@ enum SubState {
         /// itself already counted by the pump).
         events_at_park: u64,
     },
+    /// Between children of a scope whose rest is dead
+    /// ([`StreamInterest::SkipRest`]): a member of a [`RestGroup`], woken
+    /// at the scope's end tag or right before an event the scope's content
+    /// model rejects.
+    Rested {
+        /// The driver's event counter when parking began or the pump was
+        /// last settled.
+        events_at_park: u64,
+    },
     /// Failed on its own engine error; the poisoned pump is kept so
     /// [`FanoutDriver::finish`] can surface the error with the sink.
     Failed,
@@ -341,6 +371,46 @@ struct Sub<S: Sink> {
     pump: Option<Pump<S>>,
     state: SubState,
     error: Option<EngineError>,
+}
+
+/// Subscribers parked in the dead rest of one scope element, all in one
+/// validating DFA state of one production: the driver validates each
+/// remaining child once for the whole group, on the shared Glushkov
+/// automaton, and remembers the last level events the members' current
+/// event fields must reflect when they are reconciled.
+struct RestGroup {
+    /// The scope element is the `depth`-th open element; its children open
+    /// at `depth + 1`.
+    depth: u32,
+    /// The scope element's production ([`Dtd::production_at`]).
+    prod: usize,
+    allows_text: bool,
+    /// The validating DFA state after the children seen so far.
+    state: u32,
+    members: Vec<u32>,
+    /// The last child tag at the group's level, `(id, is_end)`, and the
+    /// driver's event counter when it passed (0: none yet).
+    tag: (NameId, bool),
+    tag_at: u64,
+    /// The last character data at the group's level and the driver's event
+    /// counter when it passed (0: none yet).
+    text: String,
+    text_at: u64,
+}
+
+impl RestGroup {
+    /// What a member parked at `events_at_park` missed: `events` withheld
+    /// events, ending `depth` levels inside the scope's current child.
+    fn progress(&self, events_at_park: u64, events: u64, depth: u32) -> RestProgress<'_> {
+        RestProgress {
+            state: self.state,
+            depth,
+            events,
+            tag: (self.tag_at > events_at_park).then_some(self.tag),
+            text: (self.text_at > events_at_park).then_some(self.text.as_str()),
+            text_last: self.text_at > self.tag_at,
+        }
+    }
 }
 
 /// Per-subscriber teardown of [`FanoutDriver::abort_all`].
@@ -364,6 +434,18 @@ pub struct FanoutDriver<S: Sink> {
     /// Parked subs by wake depth: `wake[d]` holds everyone to revive at the
     /// end tag that brings the open-element count back to `d`.
     wake: Vec<Vec<u32>>,
+    /// Rest-parked subs, one group per (scope depth, production, DFA
+    /// state).
+    groups: Vec<RestGroup>,
+    /// `levels[d]`: rest groups whose scope element is the `d`-th open
+    /// element — the depths at which the driver must look at events while
+    /// it withholds them.
+    levels: Vec<u32>,
+    /// Woken groups kept for reuse, so parking allocates nothing per scope
+    /// instance.
+    spare: Vec<RestGroup>,
+    /// The shared DTD, whose productions validate the rest groups.
+    dtd: Arc<Dtd>,
     /// Open elements in the shared stream.
     depth: u32,
     /// Events fed to the driver so far — equals every non-parked pump's
@@ -394,7 +476,28 @@ impl<S: Sink> FanoutDriver<S> {
             })
             .collect();
         let active = (0..subs.len() as u32).collect();
-        FanoutDriver { subs, active, wake: Vec::new(), depth: 0, events: 0 }
+        FanoutDriver::assemble(subs, active, Vec::new(), plan.dtd_arc(), 0, 0)
+    }
+
+    fn assemble(
+        subs: Vec<Sub<S>>,
+        active: Vec<u32>,
+        wake: Vec<Vec<u32>>,
+        dtd: Arc<Dtd>,
+        depth: u32,
+        events: u64,
+    ) -> FanoutDriver<S> {
+        FanoutDriver {
+            subs,
+            active,
+            wake,
+            groups: Vec::new(),
+            levels: Vec::new(),
+            spare: Vec::new(),
+            dtd,
+            depth,
+            events,
+        }
     }
 
     /// Advance every live subscription by one shared stream event.
@@ -405,20 +508,32 @@ impl<S: Sink> FanoutDriver<S> {
     pub fn feed_event(&mut self, ev: ResolvedEvent<'_>) {
         self.events += 1;
         match ev {
-            ResolvedEvent::End(..) => {
+            ResolvedEvent::End(id, _) => {
                 // The element closing here sits at depth `new_depth + 1`;
                 // everyone parked to wake at `new_depth` gets this tag.
                 let new_depth = self.depth.saturating_sub(1);
                 self.wake_at(new_depth);
+                if !self.groups.is_empty() {
+                    self.level_end(id, new_depth);
+                }
                 self.depth = new_depth;
                 self.feed_active(ev);
+                self.park_idle();
             }
-            ResolvedEvent::Start(..) => {
+            ResolvedEvent::Start(id, _) => {
+                if !self.groups.is_empty() {
+                    self.level_start(id);
+                }
                 self.feed_active(ev);
                 self.depth += 1;
-                self.park_indifferent();
+                self.park_idle();
             }
-            ResolvedEvent::Text(_) => self.feed_active(ev),
+            ResolvedEvent::Text(t) => {
+                if !self.groups.is_empty() {
+                    self.level_text(t);
+                }
+                self.feed_active(ev);
+            }
         }
     }
 
@@ -426,9 +541,10 @@ impl<S: Sink> FanoutDriver<S> {
     /// batched sibling of [`FanoutDriver::feed_event`]; identical dispatch,
     /// identical counters). Returns the number of events the driver
     /// *scanned* instead of dispatching: while every subscriber is parked
-    /// (or detached), only an end tag closing at a populated wake depth
-    /// matters, so the driver walks the recorded kinds directly — the
-    /// fan-out analogue of the single-pump in-tape skip scan.
+    /// (or detached), only an end tag closing at a populated wake depth and
+    /// the events at a rest group's level matter, so the driver walks the
+    /// recorded kinds directly — the fan-out analogue of the single-pump
+    /// in-tape skip scan.
     pub fn feed_tape(&mut self, reader: &Reader<FeedSource>, tape: &EventTape) -> u64 {
         let mut scanned = 0u64;
         let mut i = 0;
@@ -436,13 +552,26 @@ impl<S: Sink> FanoutDriver<S> {
             if self.active.is_empty() {
                 while i < tape.len() {
                     match tape.kind(i) {
-                        TapeKind::Start => self.depth += 1,
-                        TapeKind::Text => {}
+                        TapeKind::Start => {
+                            if self.at_level(self.depth) {
+                                break; // a rest group validates this child
+                            }
+                            self.depth += 1;
+                        }
+                        TapeKind::Text => {
+                            if self.at_level(self.depth) {
+                                break;
+                            }
+                        }
                         TapeKind::End => {
                             let new_depth = self.depth.saturating_sub(1);
-                            if self.wake.get(new_depth as usize).is_some_and(|b| !b.is_empty()) {
-                                // Someone wakes on this close: feed it
-                                // through the full path below.
+                            if self.wake.get(new_depth as usize).is_some_and(|b| !b.is_empty())
+                                || self.at_level(self.depth)
+                                || self.at_level(new_depth)
+                            {
+                                // Someone wakes on this close, or a rest
+                                // group sees it: feed it through the full
+                                // path below.
                                 break;
                             }
                             self.depth = new_depth;
@@ -466,10 +595,12 @@ impl<S: Sink> FanoutDriver<S> {
     }
 
     /// While no subscriber is active, fast-forward the reader itself past
-    /// everything up to the end tag the deepest parked subscriber wakes
-    /// on ([`Reader::skip_events`]): no event is recorded, materialized or
-    /// dispatched, only counted. `None` (the reader untouched) while some
-    /// subscriber is active or none is parked. On
+    /// everything up to the end tag that brings the stream back to the
+    /// deepest depth anyone must see: the deepest parked subscriber's wake
+    /// depth or the deepest rest group's level ([`Reader::skip_events`]).
+    /// No event is recorded, materialized or dispatched, only counted.
+    /// `None` (the reader untouched) while some subscriber is active, none
+    /// is parked, or the stream is at that depth already. On
     /// [`SkipPoll::Closed`] that end tag is next — on `tape` when the
     /// reader had already committed it — and the caller dispatches it
     /// with the next batch; on [`SkipPoll::More`] the fed bytes ran out
@@ -482,24 +613,30 @@ impl<S: Sink> FanoutDriver<S> {
         if !self.active.is_empty() {
             return Ok(None);
         }
-        let Some(wake) = self.wake.iter().rposition(|b| !b.is_empty()) else {
+        let wake = self.wake.iter().rposition(|b| !b.is_empty());
+        let level = self.levels.iter().rposition(|&n| n > 0);
+        let Some(target) = wake.max(level) else {
             return Ok(None);
         };
-        let wake = wake as u32;
-        let poll = reader.skip_events(self.depth - wake, tape)?;
+        let target = target as u32;
+        if target >= self.depth {
+            return Ok(None);
+        }
+        let poll = reader.skip_events(self.depth - target, tape)?;
         let (events, open) = match poll {
             SkipPoll::Closed { events } => (events, 1),
             SkipPoll::More { events, depth } => (events, depth),
         };
         self.events += events;
-        self.depth = wake + open;
+        self.depth = target + open;
         Ok(Some(poll))
     }
 
-    /// Reconcile every parked pump with the events withheld from it so
-    /// far, leaving it parked: its skip depth and event counter then read
-    /// exactly as if it had been fed every event, so its saved state is
-    /// the state of a pump that never parked.
+    /// Reconcile every parked and rest-parked pump with the events
+    /// withheld from it so far, leaving it parked: its skip depth, event
+    /// counter, observers and current event then read exactly as if it had
+    /// been fed every event, so its saved state is the state of a pump
+    /// that never parked.
     pub fn settle(&mut self) {
         for (wake, bucket) in self.wake.iter().enumerate() {
             for &i in bucket {
@@ -510,6 +647,30 @@ impl<S: Sink> FanoutDriver<S> {
                         self.depth - wake as u32,
                         self.events - *events_at_park,
                     );
+                    *events_at_park = self.events;
+                }
+            }
+        }
+        self.settle_rested();
+    }
+
+    /// [`FanoutDriver::settle`] for the rest-parked pumps only — what
+    /// [`FanoutDriver::state_save`] needs before it saves them as the
+    /// equivalent active subscribers.
+    pub fn settle_rested(&mut self) {
+        for g in &self.groups {
+            let depth = self.depth.saturating_sub(g.depth);
+            for &i in &g.members {
+                let sub = &mut self.subs[i as usize];
+                if let SubState::Rested { events_at_park } = &mut sub.state {
+                    if *events_at_park == self.events {
+                        continue;
+                    }
+                    let p = g.progress(*events_at_park, self.events - *events_at_park, depth);
+                    sub.pump
+                        .as_mut()
+                        .expect("rested subscriber keeps its pump")
+                        .fast_forward_rest(&p);
                     *events_at_park = self.events;
                 }
             }
@@ -546,6 +707,104 @@ impl<S: Sink> FanoutDriver<S> {
         self.wake[wake_depth as usize] = woken; // keep the allocation
     }
 
+    /// Is some rest group's scope element the `depth`-th open element?
+    #[inline]
+    fn at_level(&self, depth: u32) -> bool {
+        self.levels.get(depth as usize).is_some_and(|&n| n > 0)
+    }
+
+    /// A child opens at the level of the rest groups at the current depth:
+    /// step each group's automaton, waking (before the event) every group
+    /// whose content model rejects the child, so each member reports its
+    /// own validation error.
+    fn level_start(&mut self, id: NameId) {
+        if !self.at_level(self.depth) {
+            return;
+        }
+        let mut k = 0;
+        while k < self.groups.len() {
+            let g = &mut self.groups[k];
+            if g.depth == self.depth {
+                match self.dtd.production_at(g.prod).automaton().step_id(g.state, id) {
+                    Some(next) => {
+                        g.state = next;
+                        g.tag = (id, false);
+                        g.tag_at = self.events;
+                    }
+                    None => {
+                        self.wake_group(k);
+                        continue;
+                    }
+                }
+            }
+            k += 1;
+        }
+    }
+
+    /// Character data at the level of the rest groups at the current
+    /// depth: non-whitespace text a group's scope may not contain wakes the
+    /// group before the event, with the pump's own whitespace rule.
+    fn level_text(&mut self, t: &str) {
+        if !self.at_level(self.depth) {
+            return;
+        }
+        let ws = is_whitespace_text(t);
+        let mut k = 0;
+        while k < self.groups.len() {
+            let g = &mut self.groups[k];
+            if g.depth == self.depth {
+                if !g.allows_text && !ws {
+                    self.wake_group(k);
+                    continue;
+                }
+                g.text.clear();
+                g.text.push_str(t);
+                g.text_at = self.events;
+            }
+            k += 1;
+        }
+    }
+
+    /// An element at the current depth closes: groups scoped to it wake
+    /// before their end tag; groups one level up see a child end.
+    fn level_end(&mut self, id: NameId, new_depth: u32) {
+        if !self.at_level(self.depth) && !self.at_level(new_depth) {
+            return;
+        }
+        let mut k = 0;
+        while k < self.groups.len() {
+            let g = &mut self.groups[k];
+            if g.depth == self.depth {
+                self.wake_group(k);
+                continue;
+            }
+            if g.depth == new_depth {
+                g.tag = (id, true);
+                g.tag_at = self.events;
+            }
+            k += 1;
+        }
+    }
+
+    /// Revive every member of rest group `k` right before the current
+    /// event (already counted), which the woken pumps are then fed.
+    fn wake_group(&mut self, k: usize) {
+        let mut g = self.groups.swap_remove(k);
+        self.levels[g.depth as usize] -= 1;
+        for &i in &g.members {
+            let sub = &mut self.subs[i as usize];
+            // Entries for since-aborted subscribers are stale; skip them.
+            if let SubState::Rested { events_at_park } = sub.state {
+                let p = g.progress(events_at_park, self.events - 1 - events_at_park, 0);
+                sub.pump.as_mut().expect("rested subscriber keeps its pump").fast_forward_rest(&p);
+                sub.state = SubState::Active;
+                self.active.push(i);
+            }
+        }
+        g.members.clear();
+        self.spare.push(g);
+    }
+
     fn feed_active(&mut self, ev: ResolvedEvent<'_>) {
         let mut j = 0;
         while j < self.active.len() {
@@ -565,17 +824,23 @@ impl<S: Sink> FanoutDriver<S> {
         }
     }
 
-    /// Park every active pump that just became indifferent. Only a start
-    /// tag can put a pump into the skip state, so this runs after start
-    /// events only; `self.depth` already counts the element just opened.
-    fn park_indifferent(&mut self) {
+    /// Park every active pump that just became indifferent: in a skipped
+    /// subtree (woken at its end tag) or in a scope's dead rest (joined to
+    /// the rest group of its scope depth, production and DFA state). Only
+    /// a start or end tag changes a pump's interest, so this runs after
+    /// those; `self.depth` already reflects the event.
+    fn park_idle(&mut self) {
         let mut j = 0;
         while j < self.active.len() {
             let i = self.active[j];
-            let sub = &mut self.subs[i as usize];
-            let pump = sub.pump.as_ref().expect("active subscriber keeps its pump");
-            match pump.stream_interest() {
-                StreamInterest::All => j += 1,
+            let pump =
+                self.subs[i as usize].pump.as_ref().expect("active subscriber keeps its pump");
+            let events_at_park = self.events;
+            self.subs[i as usize].state = match pump.stream_interest() {
+                StreamInterest::All => {
+                    j += 1;
+                    continue;
+                }
                 StreamInterest::SkipSubtree { depth } => {
                     debug_assert!(depth <= self.depth, "skip depth within the open elements");
                     let wake_depth = self.depth - depth;
@@ -583,11 +848,46 @@ impl<S: Sink> FanoutDriver<S> {
                         self.wake.resize_with(wake_depth as usize + 1, Vec::new);
                     }
                     self.wake[wake_depth as usize].push(i);
-                    sub.state = SubState::Parked { events_at_park: self.events };
-                    self.active.swap_remove(j);
+                    SubState::Parked { events_at_park }
                 }
-            }
+                StreamInterest::SkipRest { prod, state, allows_text } => {
+                    self.join_rest(i, prod, state, allows_text);
+                    SubState::Rested { events_at_park }
+                }
+            };
+            self.active.swap_remove(j);
         }
+    }
+
+    /// Add subscriber `i` to the rest group of the current depth,
+    /// production and DFA state, opening one if needed.
+    fn join_rest(&mut self, i: u32, prod: usize, state: u32, allows_text: bool) {
+        let depth = self.depth;
+        if let Some(g) =
+            self.groups.iter_mut().find(|g| g.depth == depth && g.prod == prod && g.state == state)
+        {
+            g.members.push(i);
+            return;
+        }
+        if self.levels.len() <= depth as usize {
+            self.levels.resize(depth as usize + 1, 0);
+        }
+        self.levels[depth as usize] += 1;
+        let mut g = self.spare.pop().unwrap_or_else(|| RestGroup {
+            depth,
+            prod,
+            allows_text,
+            state,
+            members: Vec::new(),
+            tag: (NameId::UNKNOWN, false),
+            tag_at: 0,
+            text: String::new(),
+            text_at: 0,
+        });
+        (g.depth, g.prod, g.allows_text, g.state) = (depth, prod, allows_text, state);
+        (g.tag_at, g.text_at) = (0, 0);
+        g.members.push(i);
+        self.groups.push(g);
     }
 
     /// Number of subscriptions (in any state).
@@ -610,7 +910,12 @@ impl<S: Sink> FanoutDriver<S> {
     pub fn live_subscribers(&self) -> usize {
         self.subs
             .iter()
-            .filter(|s| matches!(s.state, SubState::Active | SubState::Parked { .. }))
+            .filter(|s| {
+                matches!(
+                    s.state,
+                    SubState::Active | SubState::Parked { .. } | SubState::Rested { .. }
+                )
+            })
             .count()
     }
 
@@ -635,7 +940,9 @@ impl<S: Sink> FanoutDriver<S> {
     pub fn live_pump(&self, i: usize) -> Option<&Pump<S>> {
         let sub = self.subs.get(i)?;
         match sub.state {
-            SubState::Active | SubState::Parked { .. } => sub.pump.as_ref(),
+            SubState::Active | SubState::Parked { .. } | SubState::Rested { .. } => {
+                sub.pump.as_ref()
+            }
             SubState::Failed | SubState::Detached => None,
         }
     }
@@ -652,8 +959,8 @@ impl<S: Sink> FanoutDriver<S> {
         if matches!(sub.state, SubState::Active) {
             self.active.retain(|&a| a as usize != i);
         }
-        // A parked sub may sit in a wake bucket; the stale entry is skipped
-        // lazily on wake (state is no longer `Parked`).
+        // A parked sub may sit in a wake bucket or a rest group; the stale
+        // entry is skipped lazily on wake (state is no longer parked).
         sub.state = SubState::Detached;
         sub.error = None;
         Some(sub.pump.take().expect("first detach owns the pump").abort())
@@ -668,7 +975,10 @@ impl<S: Sink> FanoutDriver<S> {
     /// epilogue), and `None` for one aborted earlier via
     /// [`FanoutDriver::abort_sub`].
     #[allow(clippy::type_complexity)]
-    pub fn finish(self) -> Vec<Option<(Result<RunStats, EngineError>, S)>> {
+    pub fn finish(mut self) -> Vec<Option<(Result<RunStats, EngineError>, S)>> {
+        // Input ended: rest-parked pumps catch up (inside a child of their
+        // scope or between two), then report what an independent run would.
+        self.settle_rested();
         let events = self.events;
         self.subs
             .into_iter()
@@ -679,7 +989,7 @@ impl<S: Sink> FanoutDriver<S> {
                     let err = sub.error.expect("failed subscriber stores its error");
                     Some((Err(err), pump.abort()))
                 }
-                SubState::Active | SubState::Parked { .. } => {
+                SubState::Active | SubState::Parked { .. } | SubState::Rested { .. } => {
                     let mut pump = sub.pump.expect("live subscriber keeps its pump");
                     if let SubState::Parked { events_at_park } = sub.state {
                         // Input ended inside the skipped subtree: reconcile
@@ -696,8 +1006,9 @@ impl<S: Sink> FanoutDriver<S> {
 
     /// Rebuild a one-subscriber driver around a restored `pump`, `depth`
     /// elements deep in the stream: the pump counts every event so far,
-    /// and one restored inside a subtree it skips is parked again. A pump
-    /// skipping deeper than the stream is open is refused as corrupt.
+    /// and one restored inside a subtree it skips, or in a scope's dead
+    /// rest, is parked again. A pump skipping deeper than the stream is
+    /// open is refused as corrupt.
     pub fn resume_one(
         pump: Pump<S>,
         depth: u32,
@@ -708,14 +1019,10 @@ impl<S: Sink> FanoutDriver<S> {
             }
         }
         let events = pump.stats_so_far().events;
-        let mut driver = FanoutDriver {
-            subs: vec![Sub { pump: Some(pump), state: SubState::Active, error: None }],
-            active: vec![0],
-            wake: Vec::new(),
-            depth,
-            events,
-        };
-        driver.park_indifferent();
+        let dtd = pump.plan().dtd_arc();
+        let sub = Sub { pump: Some(pump), state: SubState::Active, error: None };
+        let mut driver = FanoutDriver::assemble(vec![sub], vec![0], Vec::new(), dtd, depth, events);
+        driver.park_idle();
         Ok(driver)
     }
 
@@ -723,14 +1030,28 @@ impl<S: Sink> FanoutDriver<S> {
     /// the parking/wake structure, and the shared counters — as the
     /// `flux_state` FANOUT section payload. Each live pump must be
     /// quiescent (between `feed_event` calls); failed subscribers save only
-    /// their error text, detached ones only their tag.
+    /// their error text, detached ones only their tag. A rest-parked
+    /// subscriber is saved as the active subscriber it is equivalent to
+    /// (listed after the active ones), so it must have been settled
+    /// ([`FanoutDriver::settle_rested`]) since the last event.
     pub fn state_save(&self, enc: &mut flux_state::Enc) -> Result<(), flux_state::StateError> {
         enc.put_usize(self.subs.len());
-        for sub in &self.subs {
+        let mut rested = Vec::new();
+        for (i, sub) in self.subs.iter().enumerate() {
             match &sub.state {
                 SubState::Active => {
                     enc.put_u8(0);
                     sub.pump.as_ref().expect("active subscriber keeps its pump").state_save(enc)?;
+                }
+                SubState::Rested { events_at_park } => {
+                    if *events_at_park != self.events {
+                        return Err(flux_state::StateError::NotQuiescent(
+                            "rest-parked subscriber not settled",
+                        ));
+                    }
+                    enc.put_u8(0);
+                    sub.pump.as_ref().expect("rested subscriber keeps its pump").state_save(enc)?;
+                    rested.push(i as u32);
                 }
                 SubState::Parked { events_at_park } => {
                     enc.put_u8(1);
@@ -745,8 +1066,8 @@ impl<S: Sink> FanoutDriver<S> {
                 SubState::Detached => enc.put_u8(3),
             }
         }
-        enc.put_usize(self.active.len());
-        for &i in &self.active {
+        enc.put_usize(self.active.len() + rested.len());
+        for &i in self.active.iter().chain(&rested) {
             enc.put_uint(u64::from(i));
         }
         enc.put_usize(self.wake.len());
@@ -858,8 +1179,44 @@ impl<S: Sink> FanoutDriver<S> {
         if wake.iter().enumerate().any(|(w, b)| !b.is_empty() && w as u64 >= u64::from(depth)) {
             return Err(StateError::Corrupt("wake depth outside the open elements"));
         }
+        // The schedule must agree with the states, or the next event would
+        // feed a detached slot or strand a parked one: `active` lists the
+        // active subscribers exactly once each, every parked subscriber
+        // (skipping, as its contract says) sits in exactly one wake bucket,
+        // and buckets otherwise hold only stale entries of detached ones.
+        let mut seen = vec![0u32; nsubs];
+        for &i in &active {
+            seen[i as usize] += 1;
+        }
+        for (i, sub) in subs.iter().enumerate() {
+            if matches!(sub.state, SubState::Active) != (seen[i] == 1) || seen[i] > 1 {
+                return Err(StateError::Corrupt(
+                    "active list does not match the subscriber states",
+                ));
+            }
+        }
+        seen.fill(0);
+        for &i in wake.iter().flatten() {
+            seen[i as usize] += 1;
+        }
+        for (i, sub) in subs.iter().enumerate() {
+            let ok = match &sub.state {
+                SubState::Parked { .. } => {
+                    seen[i] == 1
+                        && matches!(
+                            sub.pump.as_ref().map(Pump::stream_interest),
+                            Some(StreamInterest::SkipSubtree { .. })
+                        )
+                }
+                SubState::Detached => true,
+                _ => seen[i] == 0,
+            };
+            if !ok {
+                return Err(StateError::Corrupt("wake buckets do not match the subscriber states"));
+            }
+        }
         let events = dec.get_uint()?;
-        Ok(FanoutDriver { subs, active, wake, depth, events })
+        Ok(FanoutDriver::assemble(subs, active, wake, plan.dtd_arc(), depth, events))
     }
 
     /// Tear the whole run down without the end-of-input epilogue — the
@@ -876,7 +1233,7 @@ impl<S: Sink> FanoutDriver<S> {
                     let err = sub.error.expect("failed subscriber stores its error");
                     SubTeardown::Failed(err, pump.abort())
                 }
-                SubState::Active | SubState::Parked { .. } => {
+                SubState::Active | SubState::Parked { .. } | SubState::Rested { .. } => {
                     SubTeardown::Aborted(sub.pump.expect("live sub keeps its pump").abort())
                 }
             })

@@ -138,6 +138,14 @@ impl FlagMatcher {
                 && self.match_depth < spec.path.len())
     }
 
+    /// Move the open-element count from `from` to `to` levels below the
+    /// current element without observing the events in between — what a
+    /// run of balanced events the matcher cannot react to (see
+    /// [`FlagMatcher::may_change_below`]) would have done to it.
+    pub(crate) fn shift_open(&mut self, from: u32, to: u32) {
+        self.open_depth = (self.open_depth + to as usize).saturating_sub(from as usize);
+    }
+
     /// Start-element event inside the scope. The step comparison is by
     /// interned id: out-of-vocabulary events (UNKNOWN) can never match an
     /// interned step, so they are skipped exactly as a name mismatch.

@@ -80,6 +80,9 @@ pub struct TapeTelemetry {
     pub prescreen_hits: u64,
     /// Pre-screens where some handler fired and the child was entered.
     pub prescreen_misses: u64,
+    /// Events a shared driver withheld from this run's pump while it was
+    /// parked, reconciled into its event count without being fed.
+    pub withheld: u64,
 }
 
 /// Telemetry never participates in stats equality: a per-event run and a

@@ -13,11 +13,12 @@
 //!
 //! One drain loop serves every shape: fill the event tape, dispatch it,
 //! repeat. While no subscriber is active — every live one parked inside a
-//! subtree the schedule proved it does not need — the loop does not even
-//! record events: it asks the reader to skip structurally
-//! ([`Reader::skip_events`]) up to the end tag the deepest parked
-//! subscriber wakes on. For one subscriber that is exactly the paper's
-//! skip of an unhandled subtree, at the tokenizer.
+//! subtree the schedule proved it does not need, or in the rest of a scope
+//! the DTD proved dead — the loop does not even record events: it asks the
+//! reader to skip structurally ([`Reader::skip_events`]) up to the end tag
+//! that brings the stream back to the deepest parked subscriber's wake
+//! depth or rest-group level. For one subscriber that is exactly the
+//! paper's skip of an unhandled subtree, at the tokenizer.
 //!
 //! The per-subscriber semantics are deliberate and pinned by tests:
 //!
@@ -188,6 +189,10 @@ impl<S: Sink> SharedSession<S> {
         if self.single {
             // A single-query snapshot records a pump fed every event.
             self.driver.settle();
+        } else {
+            // A set saves rest-parked subscribers as the active ones they
+            // are equivalent to.
+            self.driver.settle_rested();
         }
     }
 
@@ -280,8 +285,10 @@ impl<S: Sink> SharedSession<S> {
     }
 
     /// Serialize the complete resumable state — reader window plus **all
-    /// M subscriber pumps** (active, parked, failed and detached alike)
-    /// and the wake schedule — into a `flux-state` envelope. Restores via
+    /// M subscriber pumps** (active, parked, failed and detached alike;
+    /// one parked in a scope's dead rest is saved as the active subscriber
+    /// it is equivalent to) and the wake schedule — into a `flux-state`
+    /// envelope. Restores via
     /// [`SubscriptionSet::restore_session`](crate::SubscriptionSet::restore_session)
     /// against a set with the same queries in the same order; resumed
     /// subscribers produce byte-identical output to never having

@@ -291,22 +291,32 @@ fn corrupt_and_truncated_snapshots_error_cleanly() {
     );
 }
 
+/// The payload of section `id` of a snapshot envelope.
+fn section_bytes(snap: &[u8], id: u8) -> Vec<u8> {
+    let sections = flux::state::Sections::parse(snap).unwrap();
+    let mut dec = sections.require(id).unwrap();
+    let mut out = Vec::new();
+    while !dec.is_done() {
+        out.push(dec.get_u8().unwrap());
+    }
+    out
+}
+
+/// An encoder holding exactly `bytes`, to splice into a new envelope.
+fn enc_of(bytes: &[u8]) -> flux::state::Enc {
+    let mut e = flux::state::Enc::new();
+    bytes.iter().for_each(|&b| e.put_u8(b));
+    e
+}
+
 #[test]
 fn a_pump_skipping_deeper_than_the_stream_is_open_is_refused() {
     // Splice the READER section of a shallow snapshot (one element open)
     // into snapshots taken inside skipped subtrees: the restored pump
     // would skip deeper than the reader has elements open. Restore must
     // refuse such bytes cleanly — never panic or mis-park.
-    use flux::state::{section, Enc, Envelope, Sections};
-    fn copy(snap: &[u8], id: u8) -> Enc {
-        let sections = Sections::parse(snap).unwrap();
-        let mut dec = sections.require(id).unwrap();
-        let mut enc = Enc::new();
-        while !dec.is_done() {
-            enc.put_u8(dec.get_u8().unwrap());
-        }
-        enc
-    }
+    use flux::state::{section, Envelope};
+    let copy = |snap: &[u8], id| enc_of(&section_bytes(snap, id));
     let engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
     let q1 = PAPER_QUERIES.iter().find(|q| q.name == "Q1").unwrap();
     let q = engine.prepare(q1.source).unwrap();
@@ -339,21 +349,7 @@ fn a_fanout_wake_depth_outside_the_open_elements_is_refused() {
     // to 0 in snapshots of two Q1 subscribers: wherever they are parked,
     // their wake depth then lies outside the open elements. Restore must
     // refuse such bytes instead of trusting them.
-    use flux::state::{section, Enc, Envelope, Sections};
-    fn raw(snap: &[u8], id: u8) -> Vec<u8> {
-        let sections = Sections::parse(snap).unwrap();
-        let mut dec = sections.require(id).unwrap();
-        let mut out = Vec::new();
-        while !dec.is_done() {
-            out.push(dec.get_u8().unwrap());
-        }
-        out
-    }
-    fn enc(bytes: &[u8]) -> Enc {
-        let mut e = Enc::new();
-        bytes.iter().for_each(|&b| e.put_u8(b));
-        e
-    }
+    use flux::state::{section, Envelope};
     let engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
     let q1 = PAPER_QUERIES.iter().find(|q| q.name == "Q1").unwrap();
     let mut reg = QueryRegistry::new();
@@ -367,7 +363,7 @@ fn a_fanout_wake_depth_outside_the_open_elements_is_refused() {
         s.feed(&doc.as_bytes()[..at]).unwrap();
         let snap = s.snapshot().unwrap();
         // The section ends with two LEB128 varints: depth, then events.
-        let fanout = raw(&snap, section::FANOUT);
+        let fanout = section_bytes(&snap, section::FANOUT);
         let events_start =
             fanout[..fanout.len() - 1].iter().rposition(|b| b & 0x80 == 0).unwrap() + 1;
         let depth_start =
@@ -377,10 +373,10 @@ fn a_fanout_wake_depth_outside_the_open_elements_is_refused() {
         forged.extend_from_slice(&fanout[events_start..]);
         let mut env = Envelope::new();
         for id in [section::META, section::READER] {
-            env.add(id, enc(&raw(&snap, id)));
+            env.add(id, enc_of(&section_bytes(&snap, id)));
         }
-        env.add(section::FANOUT, enc(&forged));
-        env.add(section::BUDGET, enc(&raw(&snap, section::BUDGET)));
+        env.add(section::FANOUT, enc_of(&forged));
+        env.add(section::BUDGET, enc_of(&section_bytes(&snap, section::BUDGET)));
         let sinks = (0..set.len()).map(|_| Some(StringSink::new())).collect();
         if let Err(e) = set.restore_session(sinks, &env.into_bytes()) {
             assert!(e.to_string().contains("wake depth"), "offset {at}: {e}");
@@ -448,4 +444,91 @@ fn detached_subscribers_survive_the_round_trip() {
 
     // A live subscriber restored without a sink is refused.
     assert!(set.restore_session::<StringSink>(vec![None, None], &snap).is_err());
+}
+
+#[test]
+fn an_active_list_naming_a_detached_subscriber_is_refused() {
+    // Abort subscriber 0 of two, snapshot, and point the FANOUT active list
+    // at the detached slot instead of the live one: restore must refuse the
+    // bytes, not hand the next feed a subscriber without a pump.
+    use flux::state::{section, Envelope};
+    let engine = Engine::builder().dtd_str(STRONG_DTD).build().unwrap();
+    let mut reg = QueryRegistry::new();
+    reg.register("a", engine.prepare(Q3).unwrap());
+    reg.register("b", engine.prepare(Q3).unwrap());
+    let set = SubscriptionSet::compile(&reg).unwrap();
+    let mut s = set.session_strings();
+    s.feed(b"<bib>").unwrap();
+    s.abort_sub(0).expect("abort hands the sink back");
+    let snap = s.snapshot().unwrap();
+    // The section ends with: active count 1, active index 1, no wake
+    // buckets, then the depth and event varints (one byte each here).
+    let mut fanout = section_bytes(&snap, section::FANOUT);
+    let n = fanout.len();
+    assert_eq!(fanout[n - 5..n - 2], [1, 1, 0], "active list [1], no wake buckets");
+    fanout[n - 4] = 0;
+    let mut env = Envelope::new();
+    for id in [section::META, section::READER] {
+        env.add(id, enc_of(&section_bytes(&snap, id)));
+    }
+    env.add(section::FANOUT, enc_of(&fanout));
+    env.add(section::BUDGET, enc_of(&section_bytes(&snap, section::BUDGET)));
+    let forged = env.into_bytes();
+    match set.restore_session(vec![None, Some(StringSink::new())], &forged) {
+        Err(e) => assert!(e.to_string().contains("active list"), "{e}"),
+        Ok(mut resumed) => {
+            // Accepting the bytes must at least not bring the shard down.
+            resumed.feed(&STRONG_DOC.as_bytes()[5..]).unwrap();
+            panic!("a forged active list was accepted");
+        }
+    }
+}
+
+#[test]
+fn settled_session_snapshots_equal_a_never_parked_pump_at_every_offset() {
+    // A single-query session parks its pump (inside skipped subtrees and in
+    // scopes whose rest the DTD proves dead) and settles it after every
+    // feed; its PUMP section must equal, byte for byte, the state of a pump
+    // fed every event of the same prefix by hand.
+    use flux::state::{section, Enc};
+    use flux::xml::Polled;
+    use std::sync::Arc;
+    let engine = Engine::builder().dtd_str(XMARK_DTD).build().unwrap();
+    let dtd = Arc::new(Dtd::parse(XMARK_DTD).unwrap());
+    let (doc, _) = generate_string(&XmarkConfig::new(4 << 10));
+    for pq in PAPER_QUERIES {
+        let q = engine.prepare(pq.source).unwrap();
+        let flux = rewrite_query(&parse_xquery(pq.source).unwrap(), &dtd).unwrap();
+        let plan = Arc::new(
+            flux::engine::CompiledQuery::compile_with(
+                &flux,
+                Arc::clone(&dtd),
+                q.compiled().options(),
+            )
+            .unwrap(),
+        );
+        // The never-parked reference advances one byte per offset.
+        let mut pump = plan.pump(StringSink::new());
+        let mut reader =
+            Reader::incremental_with_symbols(plan.options().reader, Arc::clone(plan.symbols()));
+        for at in 0..=doc.len() {
+            if at > 0 {
+                reader.feed(&doc.as_bytes()[at - 1..at]);
+            }
+            while let Polled::Event(ev) = reader.poll_resolved().unwrap() {
+                pump.feed_event(ev).unwrap();
+            }
+            let mut expected = Enc::new();
+            pump.state_save(&mut expected).unwrap();
+
+            let mut s = q.session_string();
+            s.feed(&doc.as_bytes()[..at]).unwrap();
+            let saved = section_bytes(&s.snapshot().unwrap(), section::PUMP);
+            assert!(
+                saved == expected.into_bytes(),
+                "{} PUMP section differs at offset {at}",
+                pq.name
+            );
+        }
+    }
 }
