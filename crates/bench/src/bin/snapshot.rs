@@ -126,7 +126,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("flux-bench-suspend-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let policy = SuspendPolicy { idle_after: Duration::from_secs(3600), dir: dir.clone() };
-    let mut rt: Runtime<NullSink> = Runtime::with_suspend(1, policy);
+    let mut rt: Runtime<NullSink> = Runtime::builder(1).suspend(policy).build();
     let ids: Vec<RuntimeId> =
         (0..held_fleet).map(|_| rt.open(&bib_q, NullSink::default())).collect();
     for &id in &ids {

@@ -21,8 +21,8 @@
 //! # Control flow: an explicit scope stack, not recursion
 //!
 //! The paper's engine is a *pull* loop that recurses over scopes and blocks
-//! on the parser. Here the recursion is an explicit stack of [`Frame`]s and
-//! control is inverted: the [`Machine`] consumes one resolved event at a
+//! on the parser. Here the recursion is an explicit stack of `Frame`s and
+//! control is inverted: the `Machine` consumes one resolved event at a
 //! time and *returns* when it needs more input, so a caller can run many
 //! executions concurrently on one thread ([`Pump`] is the public face; the
 //! facade's `Session` couples one to an incremental reader). Only the live
@@ -586,9 +586,9 @@ struct Machine<S: Sink> {
     frames: Vec<Frame>,
     replays: Vec<Replay>,
     captures: Vec<Capture>,
+    /// Observers of the active scopes that have any, innermost last: the
+    /// buffer environment and flag lookups walk this list.
     observers: Vec<Observer>,
-    /// (scope index, observer index) for active scopes with observers.
-    env_stack: Vec<(usize, usize)>,
     stats: RunStats,
     cur_bytes: usize,
     /// Enforces `EngineOptions::max_buffer_bytes` on `cur_bytes` and
@@ -711,7 +711,6 @@ impl<S: Sink> Machine<S> {
             replays: Vec::new(),
             captures: Vec::new(),
             observers: Vec::new(),
-            env_stack: Vec::new(),
             stats: RunStats::default(),
             cur_bytes: 0,
             budget: Budget::new(limit, hook),
@@ -737,11 +736,7 @@ impl<S: Sink> Machine<S> {
     }
 
     /// See [`Pump::state_save`]. Pools and the firing scratch are recycled
-    /// capacity, not state — restored machines start them empty. The
-    /// environment stack is not saved either: an observer is pushed together
-    /// with its env entry and popped with it, so `env_stack[i]` is always
-    /// `(observers[i].sidx, i)` and the restore rebuilds it from the
-    /// observer list.
+    /// capacity, not state — restored machines start them empty.
     fn state_save(&self, enc: &mut flux_state::Enc) -> Result<(), flux_state::StateError> {
         use flux_state::StateError;
         if self.failed {
@@ -984,7 +979,6 @@ impl<S: Sink> Machine<S> {
             }
             observers.push(Observer { sidx, rec, flags });
         }
-        let env_stack = observers.iter().enumerate().map(|(i, o)| (o.sidx, i)).collect();
         let mut stats = RunStats {
             peak_buffer_bytes: dec.get_usize()?,
             final_buffer_bytes: dec.get_usize()?,
@@ -1025,7 +1019,6 @@ impl<S: Sink> Machine<S> {
             replays: Vec::new(),
             captures,
             observers,
-            env_stack,
             stats,
             cur_bytes,
             budget,
@@ -1673,7 +1666,6 @@ impl<S: Sink> Machine<S> {
             }
             flags.resize_with(spec.flags.len(), FlagMatcher::new);
             self.observers.push(Observer { sidx, rec, flags });
-            self.env_stack.push((sidx, self.observers.len() - 1));
             obs_created = true;
         }
         let mut fired = self.bool_pool.pop().unwrap_or_default();
@@ -1728,7 +1720,6 @@ impl<S: Sink> Machine<S> {
             self.writer.write_raw(s).map_err(io_err)?;
         }
         if sf.obs_created {
-            self.env_stack.pop();
             let o = self.observers.pop().expect("observer pushed at scope entry");
             if let Some(rec) = o.rec {
                 RunStats::buffer_shrink(&mut self.cur_bytes, rec.bytes());
@@ -1829,15 +1820,9 @@ impl<S: Sink> Machine<S> {
     /// flag-owned atoms on the fly — no expression clone per firing.
     fn fire_onfirst(&mut self, plan: &CompiledQuery, expr: &Expr) -> Result<(), EngineError> {
         self.stats.on_first_firings += 1;
-        let mut env = Env::new();
-        for &(sidx, obs) in &self.env_stack {
-            if let Some(rec) = &self.observers[obs].rec {
-                env.push(plan.scopes[sidx].var.clone(), rec.root());
-            }
-        }
-        let (env_stack, observers) = (&self.env_stack, &self.observers);
-        let resolve =
-            |atom: &Atom, bound: &[String]| lookup_flag_in(plan, env_stack, observers, atom, bound);
+        let observers = &self.observers;
+        let mut env = buffer_env(plan, observers);
+        let resolve = |atom: &Atom, bound: &[String]| lookup_flag_in(plan, observers, atom, bound);
         eval_expr_with(expr, &mut env, &mut self.writer, &resolve)?;
         Ok(())
     }
@@ -1850,21 +1835,16 @@ impl<S: Sink> Machine<S> {
         expr: &Expr,
         child: &Node,
     ) -> Result<(), EngineError> {
-        let mut env = Env::new();
-        for &(sidx, obs) in &self.env_stack {
-            if let Some(rec) = &self.observers[obs].rec {
-                env.push(plan.scopes[sidx].var.clone(), rec.root());
-            }
-        }
+        let observers = &self.observers;
+        let mut env = buffer_env(plan, observers);
         env.push(var.to_string(), child);
-        let (env_stack, observers) = (&self.env_stack, &self.observers);
         let resolve = |atom: &Atom, bound: &[String]| {
             // The handler variable is bound to the captured child: atoms
             // rooted at it are never flag-owned.
             if atom_root_var(atom) == var {
                 return None;
             }
-            lookup_flag_in(plan, env_stack, observers, atom, bound)
+            lookup_flag_in(plan, observers, atom, bound)
         };
         eval_expr_with(expr, &mut env, &mut self.writer, &resolve)?;
         Ok(())
@@ -1874,15 +1854,9 @@ impl<S: Sink> Machine<S> {
     /// over buffers. Allocation-free when everything resolves from flags
     /// (the fully streaming case).
     fn eval_cond_runtime(&mut self, plan: &CompiledQuery, c: &Cond) -> Result<bool, EngineError> {
-        let mut env = Env::new();
-        for &(sidx, obs) in &self.env_stack {
-            if let Some(rec) = &self.observers[obs].rec {
-                env.push(plan.scopes[sidx].var.clone(), rec.root());
-            }
-        }
-        let (env_stack, observers) = (&self.env_stack, &self.observers);
-        let resolve =
-            |atom: &Atom, bound: &[String]| lookup_flag_in(plan, env_stack, observers, atom, bound);
+        let observers = &self.observers;
+        let env = buffer_env(plan, observers);
+        let resolve = |atom: &Atom, bound: &[String]| lookup_flag_in(plan, observers, atom, bound);
         Ok(eval_cond_with(c, &env, &resolve)?)
     }
 
@@ -1987,12 +1961,24 @@ impl<S: Sink> Machine<S> {
     }
 }
 
+/// The buffer environment of the active scopes: every observer with a
+/// recorder binds its scope variable to the recorded tree, innermost last
+/// (so inner bindings shadow outer ones).
+fn buffer_env<'a>(plan: &CompiledQuery, observers: &'a [Observer]) -> Env<'a> {
+    let mut env = Env::new();
+    for o in observers {
+        if let Some(rec) = &o.rec {
+            env.push(plan.scopes[o.sidx].var.clone(), rec.root());
+        }
+    }
+    env
+}
+
 /// Current value of the flag evaluating `atom`, if the atom is flag-owned
 /// by an active scope. `bound` carries the variables rebound inside the
 /// expression being evaluated (their atoms belong to the buffer evaluator).
 fn lookup_flag_in(
     plan: &CompiledQuery,
-    env_stack: &[(usize, usize)],
     observers: &[Observer],
     atom: &Atom,
     bound: &[String],
@@ -2004,10 +1990,10 @@ fn lookup_flag_in(
     if bound.iter().any(|b| b == var) {
         return None; // rebound inside the expression
     }
-    for &(sidx, obs) in env_stack.iter().rev() {
-        if plan.scopes[sidx].var == var {
-            let o = &observers[obs];
-            for (k, spec) in plan.scopes[sidx].flags.iter().enumerate() {
+    for o in observers.iter().rev() {
+        let scope = &plan.scopes[o.sidx];
+        if scope.var == var {
+            for (k, spec) in scope.flags.iter().enumerate() {
                 if spec.matches_atom(atom) {
                     return Some(o.flags[k].value);
                 }

@@ -11,11 +11,9 @@
 //!   subscriptions' symbol tables into one *union* vocabulary over the
 //!   shared DTD (ids the DTD assigned are preserved, so every dense
 //!   Glushkov transition table stays valid), recompiles any plan whose
-//!   table disagrees ([`CompiledQuery::compile_with_symbols`]), and merges
-//!   the per-query scope structure into a [`SharedMatcher`] — a YFilter
-//!   style trie over the shared [`NameId`] alphabet with per-query accept
-//!   sets, the "product automaton with per-query accepts" of the merged
-//!   matcher.
+//!   table disagrees ([`CompiledQuery::compile_with_symbols`]). Each
+//!   subscription keeps its own compiled schedule; what the subscriptions
+//!   share is the one tokenization and the one event stream.
 //! * [`FanoutDriver`] — the run-time fan-out. M resumable [`Pump`]s advance
 //!   in lockstep over a single resolved-event stream; each keeps its own
 //!   sink, its own validation state, its own buffers and its own
@@ -74,7 +72,7 @@ use flux_xml::{
 };
 
 use crate::budget::BudgetHook;
-use crate::compile::{CBody, CHandler, CompiledQuery, EngineError, EngineOptions, Top};
+use crate::compile::{CompiledQuery, EngineError, EngineOptions};
 use crate::exec::{is_whitespace_text, Pump, RestProgress, StreamInterest};
 use crate::stats::RunStats;
 
@@ -90,13 +88,12 @@ pub struct FanoutQuery {
 }
 
 /// The compiled fan-out artifact: M subscriptions over one union symbol
-/// table, plus the merged [`SharedMatcher`]. See the [module docs](self).
+/// table. See the [module docs](self).
 pub struct FanoutPlan {
     dtd: Arc<Dtd>,
     symbols: Arc<Symbols>,
     opts: EngineOptions,
     queries: Vec<Arc<CompiledQuery>>,
-    matcher: SharedMatcher,
     reused: usize,
 }
 
@@ -162,23 +159,18 @@ impl FanoutPlan {
                 queries.push(Arc::new(c));
             }
         }
-        let matcher = SharedMatcher::build(&queries);
-        Ok(FanoutPlan { dtd, symbols: union, opts, queries, matcher, reused })
+        Ok(FanoutPlan { dtd, symbols: union, opts, queries, reused })
     }
 
     /// The one-subscription plan of a single compiled query: its own
     /// symbol table, nothing recompiled. This is what a single-query
     /// session runs — a fan-out of one.
     pub fn of_one(compiled: Arc<CompiledQuery>) -> FanoutPlan {
-        let queries = vec![compiled];
-        let matcher = SharedMatcher::build(&queries);
-        let q = &queries[0];
         FanoutPlan {
-            dtd: q.dtd_arc(),
-            symbols: Arc::clone(q.symbols()),
-            opts: q.options(),
-            queries,
-            matcher,
+            dtd: compiled.dtd_arc(),
+            symbols: Arc::clone(compiled.symbols()),
+            opts: compiled.options(),
+            queries: vec![compiled],
             reused: 1,
         }
     }
@@ -214,11 +206,6 @@ impl FanoutPlan {
         &self.queries
     }
 
-    /// The merged static matcher.
-    pub fn matcher(&self) -> &SharedMatcher {
-        &self.matcher
-    }
-
     /// How many subscriptions were shared as-is (no recompilation).
     pub fn reused_plans(&self) -> usize {
         self.reused
@@ -238,105 +225,6 @@ impl FanoutPlan {
             h.write_u64(q.state_fingerprint());
         }
         h.finish()
-    }
-}
-
-/// A node of the merged scope trie.
-#[derive(Default)]
-struct MatcherNode {
-    /// Child scope edges, keyed by the (union-table) element id.
-    children: Vec<(NameId, u32)>,
-    /// Queries with a live scope at this path.
-    accepts: Vec<u32>,
-}
-
-/// The merged static matcher: every subscription's scope chain overlaid on
-/// one trie keyed by element [`NameId`]s, with per-query accept sets —
-/// the YFilter-style NFA merge of the per-query automata. Shared path
-/// prefixes collapse to shared nodes, so the structure also *measures* the
-/// cross-query sharing the fan-out exploits.
-pub struct SharedMatcher {
-    nodes: Vec<MatcherNode>,
-    /// Degenerate subscriptions with no scope structure (`Top::Simple`):
-    /// interested everywhere.
-    always: Vec<u32>,
-}
-
-impl SharedMatcher {
-    fn build(queries: &[Arc<CompiledQuery>]) -> SharedMatcher {
-        let mut m = SharedMatcher { nodes: vec![MatcherNode::default()], always: Vec::new() };
-        for (qi, q) in queries.iter().enumerate() {
-            match &q.top {
-                Top::Simple(_) => m.always.push(qi as u32),
-                Top::Scope { idx, .. } => m.add_scope(q, qi as u32, 0, *idx),
-            }
-        }
-        m
-    }
-
-    fn add_scope(&mut self, q: &CompiledQuery, qi: u32, node: u32, sidx: usize) {
-        let accepts = &mut self.nodes[node as usize].accepts;
-        if accepts.last() != Some(&qi) {
-            accepts.push(qi);
-        }
-        for h in &q.scopes[sidx].handlers {
-            if let CHandler::On { label_id, body: CBody::Scope(child), .. } = h {
-                let next = self.child(node, *label_id);
-                self.add_scope(q, qi, next, *child);
-            }
-        }
-    }
-
-    fn child(&mut self, node: u32, label: NameId) -> u32 {
-        if let Some(&(_, c)) = self.nodes[node as usize].children.iter().find(|(l, _)| *l == label)
-        {
-            return c;
-        }
-        let c = u32::try_from(self.nodes.len()).expect("fewer than 2^32 trie nodes");
-        self.nodes.push(MatcherNode::default());
-        self.nodes[node as usize].children.push((label, c));
-        c
-    }
-
-    /// Trie size (root included) — shared prefixes make this grow slower
-    /// than the sum of the per-query scope counts.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The accept set of the trie node reached by walking `path` exactly —
-    /// the queries with a scope live *at* that node — or `None` if no
-    /// subscription's scope chain covers the path.
-    pub fn accepts_at(&self, path: &[NameId]) -> Option<&[u32]> {
-        let mut node = 0u32;
-        for id in path {
-            let (_, c) = self.nodes[node as usize].children.iter().find(|(l, _)| l == id)?;
-            node = *c;
-        }
-        Some(&self.nodes[node as usize].accepts)
-    }
-
-    /// Query indices with a scope live somewhere along `path` (element ids
-    /// from the document root downwards, root element first) — i.e. the
-    /// subscriptions that can do per-event work at this point of the
-    /// document. Sorted, deduplicated; `Top::Simple` subscriptions are
-    /// always included.
-    pub fn subscribers_under(&self, path: &[NameId]) -> Vec<u32> {
-        let mut out = self.always.clone();
-        let mut node = 0u32;
-        out.extend_from_slice(&self.nodes[0].accepts);
-        for id in path {
-            match self.nodes[node as usize].children.iter().find(|(l, _)| l == id) {
-                Some(&(_, c)) => {
-                    node = c;
-                    out.extend_from_slice(&self.nodes[node as usize].accepts);
-                }
-                None => break,
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 
@@ -1393,27 +1281,6 @@ mod tests {
         let (res, _) = outs.into_iter().next().unwrap().unwrap();
         let err = res.unwrap_err();
         assert!(err.to_string().contains("ended inside"), "{err}");
-    }
-
-    #[test]
-    fn matcher_merges_scope_chains_with_accept_sets() {
-        let dtd = Arc::new(Dtd::parse(DTD).unwrap());
-        let subs = vec![prep(&dtd, Q_BOOKS), prep(&dtd, Q_ARTICLES)];
-        let plan = FanoutPlan::compile(&subs).unwrap();
-        let m = plan.matcher();
-        let sym = plan.symbols();
-        let lib = sym.resolve("lib");
-        let book = sym.resolve("book");
-        let article = sym.resolve("article");
-        // Both subscriptions are live at the root and under <lib> (their
-        // document and lib scopes merge into shared trie nodes) …
-        assert_eq!(m.subscribers_under(&[]), vec![0, 1]);
-        assert_eq!(m.subscribers_under(&[lib]), vec![0, 1]);
-        // … and only the matching one descends into each branch.
-        assert_eq!(m.accepts_at(&[lib, book]), Some(&[0u32][..]));
-        assert_eq!(m.accepts_at(&[lib, article]), Some(&[1u32][..]));
-        assert_eq!(m.accepts_at(&[lib]), Some(&[0u32, 1][..]));
-        assert!(m.node_count() >= 4, "root, merged lib, book, article");
     }
 
     #[test]

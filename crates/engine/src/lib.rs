@@ -72,5 +72,5 @@ pub mod stats;
 pub use budget::{BudgetHook, BudgetObserver, BudgetWaker, ObservedHook};
 pub use compile::{CompiledQuery, EngineError, EngineOptions};
 pub use exec::{Pump, RunOutcome, StreamInterest};
-pub use fanout::{FanoutDriver, FanoutPlan, FanoutQuery, SharedMatcher, SubTeardown};
+pub use fanout::{FanoutDriver, FanoutPlan, FanoutQuery, SubTeardown};
 pub use stats::RunStats;

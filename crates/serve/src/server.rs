@@ -6,7 +6,7 @@
 //! frames into runtime commands (`OPEN` → [`Runtime::open`], `CHUNK` →
 //! [`Runtime::feed`], …), drains the runtime's completion/flow-control
 //! events back into outbound frames, moves engine output from the
-//! per-session [`SharedOut`] buffers into `RESULT` frames, and flushes
+//! per-session `SharedOut` buffers into `RESULT` frames, and flushes
 //! write buffers. The engine itself executes on the runtime's worker
 //! threads; the server thread only shovels bytes — which is why a single
 //! poll loop drives thousands of connections.

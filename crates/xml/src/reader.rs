@@ -22,6 +22,22 @@
 //! `<person><person_id>person0</person_id>` with the synthesized element name
 //! `{element}_{attribute}` (so `person`+`id` → `person_id`, `buyer`+`person`
 //! → `buyer_person`, exactly the names the adapted XMark queries use).
+//!
+//! # Incremental delivery: one general step, one window walk
+//!
+//! The incremental reader ([`Reader::incremental`]) offers per-event pulls
+//! ([`Reader::poll_resolved`]), batched tape fills ([`Reader::fill_tape`])
+//! and the structural skip of a dead subtree ([`Reader::skip_events`]),
+//! built from two shared pieces. The *general step* runs the per-event
+//! machinery once under a checkpoint and rolls back when the fed bytes end
+//! mid-construct; it delivers every pulled event and every construct the
+//! walk does not handle. The *window walk* passes over the common shape —
+//! entity-free ASCII text, attribute-free ASCII tags — straight off the
+//! structural index without consuming, and commits the reader in bulk at
+//! its last event boundary: a tape fill has it record each event as a
+//! window span, a skip has it count them. Byte accounting, name interning,
+//! rollback points and errors are therefore those of per-event delivery,
+//! which `tests/tape_equivalence.rs` pins at every split offset.
 
 use std::fmt;
 use std::io::{self, BufRead};
@@ -247,63 +263,27 @@ fn ensure_index(scanner: Scanner, idx: &mut StructuralIndex, offset: u64, buf: &
     0
 }
 
-/// First `<` (`gt == false`) or `>` (`gt == true`) in the window, searching
-/// the index from position `*delta` (= the window start) and classifying
-/// more of the window while uncovered bytes remain. Returns a
-/// window-relative position; `None` means the construct crosses the window
-/// (the caller falls back to the accumulating path, exactly as the raw
-/// byte-search did).
+/// First `<` (`gt == false`) or `>` (`gt == true`) in the window `buf` at
+/// or after window-relative position `start`, classifying more of the
+/// window while uncovered bytes remain. The window starts at stream offset
+/// `off0`; `shift` maps window-relative positions to index positions
+/// (`idx_pos = pos + shift`). Returns a window-relative position; `None`
+/// means the construct crosses the window (the caller falls back to the
+/// accumulating path, exactly as the raw byte-search did).
 ///
 /// On a miss past the covered range the index is *re-anchored* at the
-/// window start (updating `*delta` for the caller's later mask queries)
-/// rather than extended in place: extension would let the index span the
-/// whole stream on a one-shot source, growing mask storage with document
-/// size. Re-anchoring bounds it at one anchor batch plus one construct;
-/// only the partial tail beyond the old coverage is classified twice.
-/// In-place extension still handles a single construct outgrowing a fresh
-/// anchor (`*delta == 0`).
-#[inline]
+/// search position (updating `*shift` for the caller's later mask queries;
+/// it goes negative once a walk re-anchors mid-window) rather than
+/// extended in place: extension would let the index span the whole stream
+/// on a one-shot source, growing mask storage with document size.
+/// Re-anchoring bounds it at one anchor batch plus one construct; only the
+/// partial tail beyond the old coverage is classified twice. In-place
+/// extension still handles a single construct outgrowing a fresh anchor
+/// (the search position at index 0).
+// Always inlined: this is the per-event probe of every fast path and of
+// the window walk, and as an out-of-line call it costs more than the hit.
+#[inline(always)]
 fn find_structural(
-    scanner: Scanner,
-    idx: &mut StructuralIndex,
-    offset: u64,
-    delta: &mut usize,
-    buf: &[u8],
-    gt: bool,
-) -> Option<usize> {
-    let mut from = *delta;
-    loop {
-        let hit = if gt { idx.first_gt(from) } else { idx.first_lt(from) };
-        if let Some(p) = hit {
-            return Some(p - *delta);
-        }
-        let covered_rel = idx.covered() - *delta;
-        if covered_rel >= buf.len() {
-            return None;
-        }
-        if *delta > 0 {
-            scanner.anchor(idx, offset, buf);
-            *delta = 0;
-            from = 0;
-        } else {
-            from = idx.covered();
-            scanner.extend(idx, &buf[covered_rel..]);
-        }
-    }
-}
-
-/// [`find_structural`] for the burst walk of [`Reader::skip_events`]: the
-/// window is anchored at the *burst start* (which never moves — the walk
-/// does not consume), so the search position `start` is an arbitrary
-/// window-relative offset rather than always `0`. `shift` maps
-/// window-relative positions to index positions (`idx_pos = pos + shift`);
-/// it goes negative once the walk re-anchors mid-window. The re-anchor
-/// policy is the same as [`find_structural`]'s: anchor at the current
-/// search position when the walk has moved past the batch start (bounding
-/// mask storage at one anchor batch regardless of burst length), extend in
-/// place only while sitting on a fresh anchor.
-#[inline]
-fn skip_find(
     scanner: Scanner,
     idx: &mut StructuralIndex,
     off0: u64,
@@ -312,8 +292,8 @@ fn skip_find(
     start: usize,
     gt: bool,
 ) -> Option<usize> {
+    let mut from = start.wrapping_add_signed(*shift);
     loop {
-        let from = start.wrapping_add_signed(*shift);
         let hit = if gt { idx.first_gt(from) } else { idx.first_lt(from) };
         if let Some(p) = hit {
             return Some(p.wrapping_add_signed(-*shift));
@@ -322,10 +302,13 @@ fn skip_find(
         if covered_rel >= buf.len() {
             return None;
         }
-        if from > 0 {
+        if start.wrapping_add_signed(*shift) > 0 {
             scanner.anchor(idx, off0 + start as u64, &buf[start..]);
             *shift = -(start as isize);
+            from = 0;
         } else {
+            // Only the new tail can hold the hit.
+            from = idx.covered();
             scanner.extend(idx, &buf[covered_rel..]);
         }
     }
@@ -493,19 +476,7 @@ impl<R: BufRead> Reader<R> {
     /// event materialization ([`Reader::current`]) so the incremental mode
     /// can inspect reader state between parsing and borrowing the event.
     fn advance(&mut self) -> Result<bool, XmlError> {
-        if self.defer_consume > 0 {
-            // The previous event borrowed the source window; release it now
-            // that the borrow is over.
-            self.src.consume(self.defer_consume);
-            self.defer_consume = 0;
-        }
-        if let Slot::StackPop = self.slot {
-            // The previous End event borrowed the topmost stack entry;
-            // commit the deferred pop now that the borrow is over.
-            let (off, _) = self.stack.pop().expect("deferred pop has an open element");
-            self.stack_buf.truncate(off as usize);
-            self.slot = Slot::None;
-        }
+        self.commit_deferred();
         loop {
             // Deliver queued events first (attribute conversion etc.).
             if self.pending_pos < self.pending.len() {
@@ -564,6 +535,23 @@ impl<R: BufRead> Reader<R> {
             }
         }
         Ok(true)
+    }
+
+    /// Release the previous event's deferred borrows now that it is
+    /// delivered: the source-window bytes a zero-copy text held
+    /// (`defer_consume`) and the stack pop of an end tag served from the
+    /// stack arena (`Slot::StackPop`). Leaves the slot empty.
+    #[inline]
+    fn commit_deferred(&mut self) {
+        if self.defer_consume > 0 {
+            self.src.consume(self.defer_consume);
+            self.defer_consume = 0;
+        }
+        if let Slot::StackPop = self.slot {
+            let (off, _) = self.stack.pop().expect("deferred pop has an open element");
+            self.stack_buf.truncate(off as usize);
+        }
+        self.slot = Slot::None;
     }
 
     /// Materialize the event described by `self.slot` (set by
@@ -627,12 +615,13 @@ impl<R: BufRead> Reader<R> {
         }
         // Stage 2 against the shared amortized index: find the `<`, then
         // read the run's properties straight from the masks.
-        let mut delta = ensure_index(self.scanner, &mut self.sidx, self.offset, buf);
+        let mut shift = ensure_index(self.scanner, &mut self.sidx, self.offset, buf) as isize;
         let found =
-            find_structural(self.scanner, &mut self.sidx, self.offset, &mut delta, buf, false);
+            find_structural(self.scanner, &mut self.sidx, self.offset, &mut shift, buf, 0, false);
         let Some(pos) = found else {
             return Ok(Fast::Fallback); // run crosses the window: accumulate
         };
+        let delta = shift as usize; // searching from 0 never shifts negative
         let (any_hi, any_amp, any_nonws) = self.sidx.text_props(delta, delta + pos);
         if any_hi || any_amp {
             return Ok(Fast::Fallback); // entities / non-ASCII: decode path
@@ -674,12 +663,13 @@ impl<R: BufRead> Reader<R> {
             .src
             .fill_buf()
             .map_err(|e| XmlError { kind: XmlErrorKind::Io(e.to_string()), offset: self.offset })?;
-        let mut delta = ensure_index(self.scanner, &mut self.sidx, self.offset, buf);
+        let mut shift = ensure_index(self.scanner, &mut self.sidx, self.offset, buf) as isize;
         let found =
-            find_structural(self.scanner, &mut self.sidx, self.offset, &mut delta, buf, true);
+            find_structural(self.scanner, &mut self.sidx, self.offset, &mut shift, buf, 0, true);
         let Some(pos) = found else {
             return Ok(Fast::Fallback);
         };
+        let delta = shift as usize; // searching from 0 never shifts negative
         let body = &buf[..pos];
         match body.first() {
             None => Ok(Fast::Fallback), // `<>`: let the general path error
@@ -1295,6 +1285,92 @@ struct Checkpoint {
     pending_pos: usize,
 }
 
+/// Outcome of one checkpointed general step ([`Reader::step`]).
+enum Step {
+    /// An event was parsed; `slot` describes it.
+    Event,
+    /// The fed bytes end mid-construct; the attempt was rolled back.
+    NeedMoreData,
+    /// The source is closed and the document fully parsed.
+    End,
+}
+
+/// How a lean window walk ([`Reader::walk`]) ended. Every exit leaves the
+/// reader committed at the last event boundary.
+enum Exit {
+    /// A construct the walk does not handle (attributes, entities,
+    /// comments, CDATA, window-crossing constructs, the root's end tag,
+    /// EOF): one general step takes over.
+    Fallback,
+    /// The batch cap was reached.
+    Full,
+    /// No `<` between the boundary and the end of a still-open window:
+    /// nothing can complete before more bytes arrive.
+    NoLt,
+    /// The next end tag closes the walk (a skip at depth 1), still
+    /// unconsumed — or, on a tag mismatch, its error surfaces when it is
+    /// parsed.
+    Closed,
+}
+
+/// What the lean window walk does with the events it passes: a tape fill
+/// records them ([`EventTape`]), a structural skip counts them ([`Skip`]).
+trait Lean {
+    /// Is there room for `n` more events? (The tape's batch cap.)
+    fn room(&self, n: usize) -> bool;
+    /// Does the next end tag close the walk?
+    fn closes(&self) -> bool;
+    /// One lean event; its payload (text run or tag name) is the
+    /// scanner-verified ASCII run of `len` bytes at window offset `off`.
+    fn event(&mut self, kind: TapeKind, id: NameId, off: usize, len: usize);
+}
+
+impl Lean for EventTape {
+    #[inline]
+    fn room(&self, n: usize) -> bool {
+        self.items.len() + n <= TAPE_BATCH_EVENTS
+    }
+
+    #[inline]
+    fn closes(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn event(&mut self, kind: TapeKind, id: NameId, off: usize, len: usize) {
+        self.push_window(kind, id, off, len);
+    }
+}
+
+/// A structural skip in progress: unclosed levels inside the skipped
+/// subtree and events passed so far.
+struct Skip {
+    depth: u32,
+    events: u64,
+}
+
+impl Lean for Skip {
+    #[inline]
+    fn room(&self, _: usize) -> bool {
+        true
+    }
+
+    #[inline]
+    fn closes(&self) -> bool {
+        self.depth == 1
+    }
+
+    #[inline]
+    fn event(&mut self, kind: TapeKind, _: NameId, _: usize, _: usize) {
+        match kind {
+            TapeKind::Start => self.depth += 1,
+            TapeKind::End => self.depth -= 1,
+            TapeKind::Text => {}
+        }
+        self.events += 1;
+    }
+}
+
 impl Reader<FeedSource> {
     /// An incremental reader: push bytes with [`Reader::feed`], pull events
     /// with [`Reader::poll_resolved`]. See the [module docs](self).
@@ -1341,19 +1417,24 @@ impl Reader<FeedSource> {
     /// identical to a blocking [`Reader::next_resolved`] run over the
     /// concatenation of the chunks.
     pub fn poll_resolved(&mut self) -> Result<Polled<'_>, XmlError> {
-        if self.defer_consume > 0 {
-            // Commit the previous event's deferred window before taking the
-            // checkpoint: its bytes are delivered and must never re-parse.
-            self.src.consume(self.defer_consume);
-            self.defer_consume = 0;
-        }
-        if let Slot::StackPop = self.slot {
-            // Likewise for a delivered End event's deferred pop: rollback
-            // can only truncate, so the pop must precede the checkpoint.
-            let (off, _) = self.stack.pop().expect("deferred pop has an open element");
-            self.stack_buf.truncate(off as usize);
-            self.slot = Slot::None;
-        }
+        Ok(match self.step()? {
+            Step::Event => Polled::Event(self.current()?),
+            Step::NeedMoreData => Polled::NeedMoreData,
+            Step::End => Polled::End,
+        })
+    }
+
+    /// One step of the general machinery, shared by every incremental
+    /// entry point: commit the previous event's deferred borrows, then
+    /// [`Reader::advance`] under a [`Checkpoint`]. An attempt that runs
+    /// out of fed bytes while the source is still open is rolled back and
+    /// reports [`Step::NeedMoreData`].
+    #[inline]
+    fn step(&mut self) -> Result<Step, XmlError> {
+        // The delivered event's bytes must never re-parse: commit before
+        // the checkpoint (rollback can only truncate, so a deferred pop
+        // must precede it too).
+        self.commit_deferred();
         // Text-scan fast exit: at a quiescent point outside a tag, no event
         // can complete before the next `<` arrives (a text run only ends at
         // `<` or at close). Scan just the bytes the hint has not covered —
@@ -1370,7 +1451,7 @@ impl Reader<FeedSource> {
                 Some(i) => self.src.lt_scanned = from + i,
                 None => {
                     self.src.lt_scanned = self.src.buf.len();
-                    return Ok(Polled::NeedMoreData);
+                    return Ok(Step::NeedMoreData);
                 }
             }
         }
@@ -1382,17 +1463,13 @@ impl Reader<FeedSource> {
                     !self.src.hit_end || self.src.closed,
                     "an emitted event must not depend on bytes past the fed window"
                 );
-                Ok(Polled::Event(self.current()?))
+                Ok(Step::Event)
             }
-            Ok(false) if self.src.hit_end && !self.src.closed => {
+            Ok(false) | Err(_) if self.src.hit_end && !self.src.closed => {
                 self.restore(cp);
-                Ok(Polled::NeedMoreData)
+                Ok(Step::NeedMoreData)
             }
-            Ok(false) => Ok(Polled::End),
-            Err(_) if self.src.hit_end && !self.src.closed => {
-                self.restore(cp);
-                Ok(Polled::NeedMoreData)
-            }
+            Ok(false) => Ok(Step::End),
             Err(e) => Err(e),
         }
     }
@@ -1401,8 +1478,9 @@ impl Reader<FeedSource> {
     /// [`crate::tape`] for the lifecycle; this is the batched sibling of
     /// [`Reader::poll_resolved`] — same state machine, same rollback
     /// discipline, same event stream — minus the per-event slot handshake:
-    /// each event is recorded onto the tape as it is parsed, with deferred
-    /// window/stack borrows committed immediately.
+    /// lean constructs are recorded by the window walk, and every other
+    /// event is recorded onto the tape as soon as one general step parses
+    /// it, with its deferred window/stack borrows committed immediately.
     ///
     /// On [`TapeFill::NeedMoreData`] only the trailing *partial* construct
     /// is rolled back; everything recorded stands and must be drained
@@ -1414,93 +1492,117 @@ impl Reader<FeedSource> {
         tape.epoch = self.src.epoch;
         // Commit borrows a preceding per-event pull may have left open
         // (the two modes may be mixed freely on one reader).
-        if self.defer_consume > 0 {
-            self.src.consume(self.defer_consume);
-            self.defer_consume = 0;
-        }
-        if let Slot::StackPop = self.slot {
-            let (off, _) = self.stack.pop().expect("deferred pop has an open element");
-            self.stack_buf.truncate(off as usize);
-            self.slot = Slot::None;
-        }
+        self.commit_deferred();
         loop {
             if tape.is_full() {
                 return Ok(TapeFill::Full);
             }
-            // Inside the root with no queued events, a lean burst records
+            // Inside the root with no queued events, the walk records
             // straight off the window; the document edges, pending drains
-            // and everything non-lean take the per-event machinery below.
+            // and everything non-lean take one general step.
             if !self.finished && self.pending_pos >= self.pending.len() && !self.stack.is_empty() {
-                if let Some(fill) = self.fill_burst(tape)? {
-                    return Ok(fill);
-                }
-                continue;
-            }
-            // Text-scan fast exit, exactly as in `poll_resolved`: outside a
-            // tag no event can complete before the next `<` arrives.
-            if !self.in_tag
-                && !self.finished
-                && !self.src.closed
-                && self.pending_pos >= self.pending.len()
-            {
-                let from = self.src.pos.max(self.src.lt_scanned);
-                match self.scanner.find_byte(b'<', &self.src.buf[from..]) {
-                    Some(i) => self.src.lt_scanned = from + i,
-                    None => {
-                        self.src.lt_scanned = self.src.buf.len();
-                        return Ok(TapeFill::NeedMoreData);
-                    }
+                match self.walk(tape) {
+                    Exit::Fallback => {}
+                    Exit::Full => return Ok(TapeFill::Full),
+                    Exit::NoLt => return Ok(TapeFill::NeedMoreData),
+                    Exit::Closed => unreachable!("a recording walk never closes"),
                 }
             }
-            let cp = self.checkpoint();
-            self.src.hit_end = false;
-            match self.advance() {
-                Ok(true) => {
-                    debug_assert!(
-                        !self.src.hit_end || self.src.closed,
-                        "an emitted event must not depend on bytes past the fed window"
-                    );
-                    self.record(tape);
-                }
-                Ok(false) if self.src.hit_end && !self.src.closed => {
-                    self.restore(cp);
-                    return Ok(TapeFill::NeedMoreData);
-                }
-                Ok(false) => return Ok(TapeFill::End),
-                Err(_) if self.src.hit_end && !self.src.closed => {
-                    self.restore(cp);
-                    return Ok(TapeFill::NeedMoreData);
-                }
-                Err(e) => return Err(e),
+            match self.step()? {
+                Step::Event => self.record(tape),
+                Step::NeedMoreData => return Ok(TapeFill::NeedMoreData),
+                Step::End => return Ok(TapeFill::End),
             }
         }
     }
 
-    /// One lean recording burst inside [`Reader::fill_tape`]: walk the fed
-    /// window *without consuming*, recording entity-free clean text runs
-    /// and attribute-free ASCII tags straight onto the tape as window
-    /// spans — no advance/slot handshake, no per-event checkpoint, no
-    /// arena copies. Position, stream offset and byte counters are
-    /// committed in bulk at burst exits; `(b_lpos, b_in_tag)` track the
-    /// last event boundary so a window-exhausted exit rolls back to
-    /// exactly the state a per-event fill would report `NeedMoreData`
-    /// from (see [`Reader::skip_events`], which uses the same discipline
-    /// without the recording).
+    /// Structurally fast-forward over a subtree the consumer declared dead
+    /// (a pump reporting `SkipSubtree`): parse past events until the end
+    /// tag closing the subtree — `depth` unclosed levels deep at entry —
+    /// is next, *counting* them but never recording, materializing or
+    /// copying them. The common shape — entity-free text runs and
+    /// attribute-free ASCII tags — is counted by the window walk at one
+    /// structural-index probe per event; queued conversion events are
+    /// counted straight off the pending buffer; everything else
+    /// (attributes, entities, comments, CDATA, window-crossing constructs)
+    /// takes exactly one general step per event.
     ///
-    /// Lean end tags are gated to `stack.len() >= 2` so closing the root
-    /// (and the `finished` transition) always rides the general path.
-    /// Returns `Some` when the fill is over, `None` after one general
-    /// fallback step to let the caller re-enter.
-    fn fill_burst(&mut self, tape: &mut EventTape) -> Result<Option<TapeFill>, XmlError> {
-        /// How the burst ended.
-        enum BurstExit {
-            /// A construct the burst does not handle: one general step.
-            Fallback,
-            /// The tape reached its event cap at a boundary.
-            Full,
-            /// No `<` before the end of a still-open window.
-            NoLt,
+    /// Transparency: byte accounting, name interning, stack discipline and
+    /// error surfacing mirror [`Reader::fill_tape`] pulling the same
+    /// events, and a window-exhausted return rolls back to the same event
+    /// boundary a per-event poll would report `NeedMoreData` from — so a
+    /// snapshot taken at any quiescent point is byte-identical to a run
+    /// that delivered every event.
+    ///
+    /// `tape` must be drained; it is written only when the general
+    /// machinery has already committed the closing end tag, which then
+    /// rides back as the tape's single event (see [`SkipPoll::Closed`]).
+    pub fn skip_events(&mut self, depth: u32, tape: &mut EventTape) -> Result<SkipPoll, XmlError> {
+        debug_assert!(tape.is_empty(), "previous batch must be drained before a skip");
+        debug_assert!(depth >= 1, "a skip is only active inside its subtree");
+        debug_assert!(!self.finished, "a document cannot finish inside a subtree");
+        tape.clear();
+        tape.epoch = self.src.epoch;
+        // Commit borrows a preceding per-event pull may have left open.
+        self.commit_deferred();
+        let mut skip = Skip { depth, events: 0 };
+        loop {
+            if self.pending_pos < self.pending.len() {
+                // Queued conversion events (attribute children,
+                // self-closing ends): no source read, so no checkpoint.
+                self.slot = Slot::Pending(self.pending_pos);
+                self.pending_pos += 1;
+            } else {
+                match self.walk(&mut skip) {
+                    Exit::Fallback => {}
+                    Exit::NoLt => {
+                        return Ok(SkipPoll::More { events: skip.events, depth: skip.depth })
+                    }
+                    Exit::Closed => return Ok(SkipPoll::Closed { events: skip.events }),
+                    Exit::Full => unreachable!("a skip has no batch cap"),
+                }
+                match self.step()? {
+                    Step::Event => {}
+                    Step::NeedMoreData => {
+                        return Ok(SkipPoll::More { events: skip.events, depth: skip.depth })
+                    }
+                    Step::End => unreachable!("a document cannot end inside a skipped subtree"),
+                }
+            }
+            let kind = self.slot_kind();
+            if kind == TapeKind::End && skip.closes() {
+                // The event closing the subtree is already parsed (and any
+                // stack pop committed): hand it back on the tape for
+                // normal delivery instead of rolling back.
+                self.record(tape);
+                return Ok(SkipPoll::Closed { events: skip.events });
+            }
+            skip.event(kind, NameId::UNKNOWN, 0, 0);
+            self.commit_deferred();
         }
+    }
+
+    /// The lean window walk of [`Reader::fill_tape`] (which records) and
+    /// [`Reader::skip_events`] (which counts): a local cursor walks the fed
+    /// window *without consuming*, handing entity-free clean text runs and
+    /// attribute-free ASCII tags to `lean` as window spans — no
+    /// advance/slot handshake, no per-event checkpoint, no arena copies.
+    ///
+    /// The loop touches no reader state it might have to undo: stack
+    /// pushes and pops happen only *at* event boundaries, and position,
+    /// offset, `in_tag` and the fast-path byte counter are committed in
+    /// bulk at the exit, at the last event boundary `(b_lpos, b_in_tag)`.
+    /// Non-event progress past it (a dropped whitespace run, the `<`
+    /// opening a tag) is left to be re-read: a window-exhausted exit is
+    /// exactly the state a per-event poll reports `NeedMoreData` from, and
+    /// a fallback step re-reads those bytes on the path — and into the
+    /// counters — per-event delivery would.
+    ///
+    /// The caller starts the walk inside the root with no queued events.
+    /// Lean end tags are gated to `stack.len() >= 2`, so closing the root
+    /// (and the `finished` transition) always rides the general path; a
+    /// skip never gets that far, as it closes at its depth 1 first.
+    fn walk<L: Lean>(&mut self, lean: &mut L) -> Exit {
         let start = self.src.pos;
         let off0 = self.offset;
         let closed = self.src.closed;
@@ -1512,203 +1614,168 @@ impl Reader<FeedSource> {
         let mut b_lpos = 0usize;
         let mut b_in_tag = in_tag;
         let exit = 'burst: loop {
-            if tape.items.len() >= TAPE_BATCH_EVENTS {
-                break 'burst BurstExit::Full;
+            if !lean.room(1) {
+                break 'burst Exit::Full;
             }
             if !in_tag {
                 // ---- text step: mirrors `fast_text` ----
                 if lpos >= buf.len() {
-                    break 'burst if closed { BurstExit::Fallback } else { BurstExit::NoLt };
+                    // Out of bytes at a boundary: the general path reports
+                    // EOF, or more bytes are needed.
+                    break 'burst if closed { Exit::Fallback } else { Exit::NoLt };
                 }
                 if buf[lpos] == b'<' {
                     lpos += 1;
                     in_tag = true;
                     continue 'burst;
                 }
-                let found =
-                    skip_find(self.scanner, &mut self.sidx, off0, &mut shift, buf, lpos, false);
+                let found = find_structural(
+                    self.scanner,
+                    &mut self.sidx,
+                    off0,
+                    &mut shift,
+                    buf,
+                    lpos,
+                    false,
+                );
                 let Some(p) = found else {
-                    break 'burst if closed { BurstExit::Fallback } else { BurstExit::NoLt };
+                    break 'burst if closed { Exit::Fallback } else { Exit::NoLt };
                 };
                 let (any_hi, any_amp, any_nonws) = self
                     .sidx
                     .text_props(lpos.wrapping_add_signed(shift), p.wrapping_add_signed(shift));
                 if any_hi || any_amp {
-                    break 'burst BurstExit::Fallback; // entities / non-ASCII: decode path
+                    break 'burst Exit::Fallback; // entities / non-ASCII: decode path
                 }
-                if any_nonws || keep_ws {
-                    tape.push_window(TapeKind::Text, NameId::UNKNOWN, start + lpos, p - lpos);
-                    lpos = p + 1;
-                    in_tag = true;
+                let event = any_nonws || keep_ws;
+                if event {
+                    lean.event(TapeKind::Text, NameId::UNKNOWN, start + lpos, p - lpos);
+                }
+                lpos = p + 1;
+                in_tag = true;
+                if event {
                     b_lpos = lpos;
                     b_in_tag = true;
-                } else {
-                    lpos = p + 1;
-                    in_tag = true;
                 }
                 continue 'burst;
             }
             // ---- tag step: mirrors `fast_tag` ----
-            let found = skip_find(self.scanner, &mut self.sidx, off0, &mut shift, buf, lpos, true);
+            let found =
+                find_structural(self.scanner, &mut self.sidx, off0, &mut shift, buf, lpos, true);
             let Some(p) = found else {
-                break 'burst BurstExit::Fallback; // crossing tag or EOF
+                break 'burst Exit::Fallback; // crossing tag or EOF
             };
             let body = &buf[lpos..p];
             let Some(&first) = body.first() else {
-                break 'burst BurstExit::Fallback; // `<>`: the general path errors
+                break 'burst Exit::Fallback; // `<>`: the general path errors
             };
             if first == b'/' {
+                if lean.closes() {
+                    break 'burst Exit::Closed;
+                }
                 if self.stack.len() < 2 {
-                    break 'burst BurstExit::Fallback; // root close: general path
+                    break 'burst Exit::Fallback; // root close: general path
                 }
                 match self.stack.last() {
                     Some(&(off, _)) if self.stack_buf.as_bytes()[off as usize..] == body[1..] => {}
                     // Trailing whitespace or a genuine mismatch: the
                     // general path re-examines it.
-                    _ => break 'burst BurstExit::Fallback,
+                    _ => break 'burst Exit::Fallback,
                 }
                 let (off, id) = self.stack.pop().expect("open element inside the root");
                 self.stack_buf.truncate(off as usize);
-                tape.push_window(TapeKind::End, id, start + lpos + 1, body.len() - 1);
-                lpos = p + 1;
-                in_tag = false;
-                b_lpos = lpos;
-                b_in_tag = false;
-                continue 'burst;
-            }
-            if !(first.is_ascii_alphabetic() || first == b'_' || first == b':') {
-                break 'burst BurstExit::Fallback; // comments, PIs, DOCTYPE
-            }
-            let bpos = lpos.wrapping_add_signed(shift);
-            let i = (self.sidx.name_run(bpos + 1) - bpos).min(body.len());
-            let self_closing = match body.len() - i {
-                0 => false,
-                1 if body[i] == b'/' => true,
-                _ => break 'burst BurstExit::Fallback, // attribute list: conversion path
-            };
-            if self_closing && tape.items.len() + 2 > TAPE_BATCH_EVENTS {
-                // The pair would overshoot the batch cap: the general path
-                // records the start and queues the end for the next batch,
-                // exactly as per-event delivery splits it.
-                break 'burst BurstExit::Fallback;
-            }
-            // SAFETY: `first` was checked ASCII above and `body[1..i]` lies
-            // inside the scanner's name-class run, an ASCII subset.
-            let name = unsafe { std::str::from_utf8_unchecked(&body[..i]) };
-            let id =
-                resolve_counted(&self.symbols, &mut self.quick_hits, &mut self.quick_misses, name);
-            if self_closing {
-                tape.push_window(TapeKind::Start, id, start + lpos, i);
-                tape.push_window(TapeKind::End, id, start + lpos, i);
+                lean.event(TapeKind::End, id, start + lpos + 1, body.len() - 1);
             } else {
-                let off = self.stack_buf.len() as u32;
-                self.stack_buf.push_str(name);
-                self.stack.push((off, id));
-                tape.push_window(TapeKind::Start, id, start + lpos, i);
+                if !(first.is_ascii_alphabetic() || first == b'_' || first == b':') {
+                    break 'burst Exit::Fallback; // comments, PIs, DOCTYPE
+                }
+                let bpos = lpos.wrapping_add_signed(shift);
+                let i = (self.sidx.name_run(bpos + 1) - bpos).min(body.len());
+                let self_closing = match body.len() - i {
+                    0 => false,
+                    1 if body[i] == b'/' => true,
+                    _ => break 'burst Exit::Fallback, // attribute list: conversion path
+                };
+                if self_closing && !lean.room(2) {
+                    // The pair would overshoot the batch cap: the general
+                    // path records the start and queues the end for the
+                    // next batch, exactly as per-event delivery splits it.
+                    break 'burst Exit::Fallback;
+                }
+                // SAFETY: `first` was checked ASCII above and `body[1..i]`
+                // lies inside the scanner's name-class run, an ASCII subset.
+                let name = unsafe { std::str::from_utf8_unchecked(&body[..i]) };
+                let id = resolve_counted(
+                    &self.symbols,
+                    &mut self.quick_hits,
+                    &mut self.quick_misses,
+                    name,
+                );
+                if !self_closing {
+                    let off = self.stack_buf.len() as u32;
+                    self.stack_buf.push_str(name);
+                    self.stack.push((off, id));
+                }
+                lean.event(TapeKind::Start, id, start + lpos, i);
+                if self_closing {
+                    lean.event(TapeKind::End, id, start + lpos, i);
+                }
             }
             lpos = p + 1;
             in_tag = false;
             b_lpos = lpos;
             b_in_tag = false;
         };
-        match exit {
-            BurstExit::NoLt => {
-                // The text step always sits on an event boundary, so the
-                // walk position *is* the rollback point.
-                debug_assert_eq!(b_lpos, lpos, "text step is a boundary");
-                self.src.pos = start + b_lpos;
-                self.offset = off0 + b_lpos as u64;
-                self.fast_bytes += b_lpos as u64;
-                self.in_tag = b_in_tag;
-                // The poll fast-exit's scan hint: no `<` between the
-                // committed position and the window end.
-                self.src.lt_scanned = self.src.buf.len();
-                Ok(Some(TapeFill::NeedMoreData))
-            }
-            BurstExit::Full => {
-                debug_assert_eq!(b_lpos, lpos, "the cap is checked at boundaries");
-                self.src.pos = start + b_lpos;
-                self.offset = off0 + b_lpos as u64;
-                self.fast_bytes += b_lpos as u64;
-                self.in_tag = b_in_tag;
-                Ok(Some(TapeFill::Full))
-            }
-            BurstExit::Fallback => {
-                // One full per-event step from the committed position.
-                // Progress past the last boundary (a whitespace run and its
-                // `<`) is committed as fast-path bytes and the rollback
-                // point stays *behind* it — byte-for-byte what per-event
-                // delivery does when `fast_text` skips the run and the
-                // following construct then fails to fit the window
-                // (counters are never rolled back).
-                let cp = Checkpoint {
-                    src_pos: start + b_lpos,
-                    offset: off0 + b_lpos as u64,
-                    seen_root: self.seen_root,
-                    in_tag: b_in_tag,
-                    finished: false,
-                    stack_len: self.stack.len(),
-                    stack_buf_len: self.stack_buf.len(),
-                    pending_len: self.pending.len(),
-                    pending_pos: self.pending_pos,
-                };
-                self.src.pos = start + lpos;
-                self.offset = off0 + lpos as u64;
-                self.fast_bytes += lpos as u64;
-                self.in_tag = in_tag;
-                self.src.hit_end = false;
-                match self.advance() {
-                    Ok(true) => {
-                        debug_assert!(
-                            !self.src.hit_end || self.src.closed,
-                            "an emitted event must not depend on bytes past the fed window"
-                        );
-                        self.record(tape);
-                        Ok(None)
-                    }
-                    Ok(false) if self.src.hit_end && !self.src.closed => {
-                        self.restore(cp);
-                        Ok(Some(TapeFill::NeedMoreData))
-                    }
-                    Ok(false) => Ok(Some(TapeFill::End)),
-                    Err(_) if self.src.hit_end && !self.src.closed => {
-                        self.restore(cp);
-                        Ok(Some(TapeFill::NeedMoreData))
-                    }
-                    Err(e) => Err(e),
-                }
-            }
+        // A closing walk keeps the closing tag's `<` consumed, so the next
+        // step parses that tag straight away.
+        let (end, in_tag) = match exit {
+            Exit::Closed => (lpos, in_tag),
+            _ => (b_lpos, b_in_tag),
+        };
+        self.src.pos = start + end;
+        self.offset = off0 + end as u64;
+        self.fast_bytes += end as u64;
+        self.in_tag = in_tag;
+        if let Exit::NoLt = exit {
+            // The step fast exit's scan hint: no `<` between the committed
+            // position and the window end.
+            self.src.lt_scanned = self.src.buf.len();
+        }
+        exit
+    }
+
+    /// The structural kind of the event described by `self.slot`.
+    fn slot_kind(&self) -> TapeKind {
+        match self.slot {
+            Slot::Text | Slot::SrcText { .. } => TapeKind::Text,
+            Slot::StartName | Slot::StackTop => TapeKind::Start,
+            Slot::EndName | Slot::StackPop => TapeKind::End,
+            Slot::Pending(i) => match self.pending.get(i).expect("pending index in range") {
+                ResolvedEvent::Start(..) => TapeKind::Start,
+                ResolvedEvent::End(..) => TapeKind::End,
+                ResolvedEvent::Text(_) => TapeKind::Text,
+            },
+            Slot::None => unreachable!("slot set before use"),
         }
     }
 
-    /// Record the event described by `self.slot` onto the tape, committing
-    /// any deferred borrow on the spot (the tape holds its own copy — or,
-    /// for zero-copy text, a window span that outlives the consume, since
-    /// the buffer is only compacted by the next `feed`).
+    /// Record the event described by `self.slot` onto the tape, then
+    /// commit its deferred borrows on the spot: the tape holds its own
+    /// copy — or, for zero-copy text, a window span that outlives the
+    /// consume, since the buffer is only compacted by the next `feed`.
     fn record(&mut self, tape: &mut EventTape) {
         match self.slot {
-            Slot::Text => tape.push_arena(TapeKind::Text, NameId::UNKNOWN, &self.text_buf),
             Slot::SrcText { len } => {
                 debug_assert!(self.src.buf[self.src.pos..self.src.pos + len].is_ascii());
                 tape.push_window(TapeKind::Text, NameId::UNKNOWN, self.src.pos, len);
-                // Release the window hold immediately: the recorded span
-                // stays addressable until the next feed.
-                self.src.consume(self.defer_consume);
-                self.defer_consume = 0;
             }
+            Slot::Text => tape.push_arena(TapeKind::Text, NameId::UNKNOWN, &self.text_buf),
             Slot::EndName => tape.push_arena(TapeKind::End, self.cur_id, &self.name_buf),
             Slot::StartName => tape.push_arena(TapeKind::Start, self.cur_id, &self.name_buf),
-            Slot::StackTop => {
-                let &(off, id) = self.stack.last().expect("open element for start slot");
-                tape.push_arena(TapeKind::Start, id, &self.stack_buf[off as usize..]);
-            }
-            Slot::StackPop => {
-                // Record, then commit the pop on the spot (per-event mode
-                // defers it across the borrow; the tape copy needs no
-                // borrow).
-                let (off, id) = self.stack.pop().expect("open element for end slot");
-                tape.push_arena(TapeKind::End, id, &self.stack_buf[off as usize..]);
-                self.stack_buf.truncate(off as usize);
+            Slot::StackTop | Slot::StackPop => {
+                let &(off, id) = self.stack.last().expect("open element for a stack slot");
+                let kind = self.slot_kind();
+                tape.push_arena(kind, id, &self.stack_buf[off as usize..]);
             }
             Slot::Pending(i) => match self.pending.get(i).expect("pending index in range") {
                 ResolvedEvent::Start(id, name) => tape.push_arena(TapeKind::Start, id, name),
@@ -1717,7 +1784,7 @@ impl Reader<FeedSource> {
             },
             Slot::None => unreachable!("slot set before record"),
         }
-        self.slot = Slot::None;
+        self.commit_deferred();
     }
 
     /// Materialize one recorded tape event. Window spans borrow the
@@ -1743,371 +1810,6 @@ impl Reader<FeedSource> {
             TapeKind::Start => ResolvedEvent::Start(it.id, payload),
             TapeKind::End => ResolvedEvent::End(it.id, payload),
             TapeKind::Text => ResolvedEvent::Text(payload),
-        }
-    }
-
-    /// Structurally fast-forward over a subtree the consumer declared dead
-    /// (a pump reporting `SkipSubtree`): parse past events until the end
-    /// tag closing the subtree — `depth` unclosed levels deep at entry —
-    /// is next, *counting* them but never recording, materializing or
-    /// copying them. The common shape — entity-free text runs and
-    /// attribute-free ASCII tags — costs one structural-index probe and a
-    /// counter update per event; everything else (attributes, entities,
-    /// comments, CDATA, window-crossing constructs) takes exactly one step
-    /// of the identical general machinery per event.
-    ///
-    /// Transparency: byte accounting, name interning, stack discipline and
-    /// error surfacing mirror [`Reader::fill_tape`] pulling the same
-    /// events, and a window-exhausted return rolls back to the same event
-    /// boundary a per-event poll would report `NeedMoreData` from — so a
-    /// snapshot taken at any quiescent point is byte-identical to a run
-    /// that delivered every event.
-    ///
-    /// `tape` must be drained; it is written only when the general
-    /// machinery has already committed the closing end tag, which then
-    /// rides back as the tape's single event (see [`SkipPoll::Closed`]).
-    pub fn skip_events(&mut self, depth: u32, tape: &mut EventTape) -> Result<SkipPoll, XmlError> {
-        debug_assert!(tape.is_empty(), "previous batch must be drained before a skip");
-        debug_assert!(depth >= 1, "a skip is only active inside its subtree");
-        debug_assert!(!self.finished, "a document cannot finish inside a subtree");
-        tape.clear();
-        tape.epoch = self.src.epoch;
-        // Commit borrows a preceding per-event pull may have left open.
-        if self.defer_consume > 0 {
-            self.src.consume(self.defer_consume);
-            self.defer_consume = 0;
-        }
-        if let Slot::StackPop = self.slot {
-            let (off, _) = self.stack.pop().expect("deferred pop has an open element");
-            self.stack_buf.truncate(off as usize);
-            self.slot = Slot::None;
-        }
-        let mut depth = depth;
-        let mut events = 0u64;
-        /// How a lean burst over the buffered window ended.
-        enum BurstExit {
-            /// A construct the burst does not handle (attributes, entities,
-            /// comments, CDATA, window-crossing constructs, EOF errors):
-            /// one step of the general machinery takes over.
-            Fallback,
-            /// `</` at depth 1: the subtree is closed, the end tag itself
-            /// left for the next ordinary batch to deliver.
-            Closed,
-            /// No `<` between the walk position and the end of a still-open
-            /// window: nothing can complete before more bytes arrive.
-            NoLt,
-        }
-        loop {
-            // Queued conversion events (attribute children, self-closing
-            // ends) are counted straight off the pending buffer — no slot
-            // handshake, no materialization.
-            if self.pending_pos < self.pending.len() {
-                while self.pending_pos < self.pending.len() {
-                    match self.pending.get(self.pending_pos).expect("pending index in range") {
-                        ResolvedEvent::Start(..) => depth += 1,
-                        ResolvedEvent::End(..) if depth > 1 => depth -= 1,
-                        ResolvedEvent::End(..) => {
-                            // A self-closing subtree root: its queued End
-                            // closes the skip. Hand it back on the tape.
-                            self.slot = Slot::Pending(self.pending_pos);
-                            self.pending_pos += 1;
-                            self.record(tape);
-                            return Ok(SkipPoll::Closed { events });
-                        }
-                        ResolvedEvent::Text(_) => {}
-                    }
-                    self.pending_pos += 1;
-                    events += 1;
-                }
-                continue;
-            }
-            // ---- lean burst: walk the fed window without consuming ----
-            //
-            // The hot loop touches no reader state it might have to undo:
-            // `lpos` cursors through a window snapshot, and position /
-            // offset / byte counters are committed in bulk only when the
-            // burst exits. `(b_lpos, b_in_tag)` track the last *event*
-            // boundary — non-event progress (dropped whitespace runs, the
-            // consumed `<` opening a tag) advances `lpos` past it, so a
-            // window-exhausted exit rolls back to exactly the state a
-            // per-event poll would report `NeedMoreData` from. Stack pushes
-            // and pops happen only *at* boundaries and need no undo.
-            let start = self.src.pos;
-            let off0 = self.offset;
-            let closed = self.src.closed;
-            let keep_ws = self.opts.keep_whitespace;
-            let buf = &self.src.buf[start..];
-            let mut shift = ensure_index(self.scanner, &mut self.sidx, off0, buf) as isize;
-            let mut lpos = 0usize;
-            let mut in_tag = self.in_tag;
-            let mut b_lpos = 0usize;
-            let mut b_in_tag = in_tag;
-            let exit = 'burst: loop {
-                if !in_tag {
-                    // ---- text step: mirrors `fast_text` ----
-                    if lpos >= buf.len() {
-                        // Out of bytes at a boundary: EOF error (general
-                        // path) or feed more.
-                        break 'burst if closed { BurstExit::Fallback } else { BurstExit::NoLt };
-                    }
-                    if buf[lpos] == b'<' {
-                        lpos += 1;
-                        in_tag = true;
-                        continue 'burst;
-                    }
-                    let found =
-                        skip_find(self.scanner, &mut self.sidx, off0, &mut shift, buf, lpos, false);
-                    let Some(p) = found else {
-                        // Text runs to the window end: EOF errors on the
-                        // general path; otherwise no event can complete
-                        // before more bytes arrive.
-                        break 'burst if closed { BurstExit::Fallback } else { BurstExit::NoLt };
-                    };
-                    let (any_hi, any_amp, any_nonws) = self
-                        .sidx
-                        .text_props(lpos.wrapping_add_signed(shift), p.wrapping_add_signed(shift));
-                    if any_hi || any_amp {
-                        break 'burst BurstExit::Fallback; // entities / non-ASCII: decode path
-                    }
-                    debug_assert!(!self.stack.is_empty(), "skip runs inside the root");
-                    lpos = p + 1;
-                    in_tag = true;
-                    if any_nonws || keep_ws {
-                        events += 1;
-                        b_lpos = lpos;
-                        b_in_tag = true;
-                    }
-                    continue 'burst;
-                }
-                // ---- tag step: mirrors `fast_tag`, minus materialization ----
-                let found =
-                    skip_find(self.scanner, &mut self.sidx, off0, &mut shift, buf, lpos, true);
-                let Some(p) = found else {
-                    break 'burst BurstExit::Fallback; // crossing tag or EOF
-                };
-                let body = &buf[lpos..p];
-                let Some(&first) = body.first() else {
-                    break 'burst BurstExit::Fallback; // `<>`: the general path errors
-                };
-                if first == b'/' {
-                    if depth == 1 {
-                        break 'burst BurstExit::Closed;
-                    }
-                    match self.stack.last() {
-                        Some(&(off, _))
-                            if self.stack_buf.as_bytes()[off as usize..] == body[1..] => {}
-                        // Trailing whitespace or a genuine mismatch: the
-                        // general path re-examines it.
-                        _ => break 'burst BurstExit::Fallback,
-                    }
-                    let (off, _) = self.stack.pop().expect("open element inside the subtree");
-                    self.stack_buf.truncate(off as usize);
-                    depth -= 1;
-                    events += 1;
-                    lpos = p + 1;
-                    in_tag = false;
-                    b_lpos = lpos;
-                    b_in_tag = false;
-                    continue 'burst;
-                }
-                if !(first.is_ascii_alphabetic() || first == b'_' || first == b':') {
-                    break 'burst BurstExit::Fallback; // comments, PIs, DOCTYPE
-                }
-                let bpos = lpos.wrapping_add_signed(shift);
-                let i = (self.sidx.name_run(bpos + 1) - bpos).min(body.len());
-                let self_closing = match body.len() - i {
-                    0 => false,
-                    1 if body[i] == b'/' => true,
-                    _ => break 'burst BurstExit::Fallback, // attribute list: conversion path
-                };
-                // SAFETY: `first` was checked ASCII above and `body[1..i]`
-                // lies inside the scanner's name-class run, an ASCII subset.
-                let name = unsafe { std::str::from_utf8_unchecked(&body[..i]) };
-                let id = resolve_counted(
-                    &self.symbols,
-                    &mut self.quick_hits,
-                    &mut self.quick_misses,
-                    name,
-                );
-                if self_closing {
-                    // Start + queued End cancel out: two events, no stack
-                    // or pending traffic (the queue's contents are never
-                    // observable at a quiescent point).
-                    events += 2;
-                } else {
-                    let off = self.stack_buf.len() as u32;
-                    self.stack_buf.push_str(name);
-                    self.stack.push((off, id));
-                    depth += 1;
-                    events += 1;
-                }
-                lpos = p + 1;
-                in_tag = false;
-                b_lpos = lpos;
-                b_in_tag = false;
-            };
-            match exit {
-                BurstExit::NoLt => {
-                    // The text step always sits on an event boundary
-                    // (non-event progress ends inside a tag), so the walk
-                    // position *is* the rollback point.
-                    debug_assert_eq!(b_lpos, lpos, "text step is a boundary");
-                    self.src.pos = start + b_lpos;
-                    self.offset = off0 + b_lpos as u64;
-                    self.fast_bytes += b_lpos as u64;
-                    self.in_tag = b_in_tag;
-                    // The poll fast-exit's scan hint: no `<` between the
-                    // committed position and the window end.
-                    self.src.lt_scanned = self.src.buf.len();
-                    return Ok(SkipPoll::More { events, depth });
-                }
-                BurstExit::Closed => {
-                    // Commit through the consumed `<`; the complete closing
-                    // end tag (`>` was found in-window) is delivered by the
-                    // next ordinary batch — or, on a tag mismatch, surfaces
-                    // its error there.
-                    self.src.pos = start + lpos;
-                    self.offset = off0 + lpos as u64;
-                    self.fast_bytes += lpos as u64;
-                    self.in_tag = true;
-                    return Ok(SkipPoll::Closed { events });
-                }
-                BurstExit::Fallback => {
-                    // One full per-event step from the committed position.
-                    // Progress past the last boundary (a whitespace run and
-                    // its `<`) is committed as fast-path bytes and the
-                    // rollback point stays *behind* it — byte-for-byte what
-                    // per-event delivery does when `fast_text` skips the
-                    // run and the following construct then fails to fit the
-                    // window (counters are never rolled back).
-                    let cp = Checkpoint {
-                        src_pos: start + b_lpos,
-                        offset: off0 + b_lpos as u64,
-                        seen_root: self.seen_root,
-                        in_tag: b_in_tag,
-                        finished: false,
-                        stack_len: self.stack.len(),
-                        stack_buf_len: self.stack_buf.len(),
-                        pending_len: self.pending.len(),
-                        pending_pos: self.pending_pos,
-                    };
-                    self.src.pos = start + lpos;
-                    self.offset = off0 + lpos as u64;
-                    self.fast_bytes += lpos as u64;
-                    self.in_tag = in_tag;
-                    if let Some(poll) =
-                        self.skip_fallback_step(tape, &mut depth, &mut events, cp)?
-                    {
-                        return Ok(poll);
-                    }
-                }
-            }
-        }
-    }
-
-    /// One general-machinery step inside [`Reader::skip_events`]: run
-    /// [`Reader::advance`] exactly as a tape fill would — `cp` is the last
-    /// event boundary, the rollback point a window-exhausted attempt
-    /// restores — then interpret the completed slot as depth/count
-    /// bookkeeping instead of recording it. An End event at depth 1 *is* the tag closing the
-    /// skipped subtree — its stack pop may already be committed, so it is
-    /// recorded onto `tape` for the caller to deliver rather than rolled
-    /// back. Returns `Some` when the skip is over (closed, or out of fed
-    /// bytes), `None` to continue scanning.
-    fn skip_fallback_step(
-        &mut self,
-        tape: &mut EventTape,
-        depth: &mut u32,
-        events: &mut u64,
-        cp: Checkpoint,
-    ) -> Result<Option<SkipPoll>, XmlError> {
-        self.src.hit_end = false;
-        match self.advance() {
-            Ok(true) => {
-                debug_assert!(
-                    !self.src.hit_end || self.src.closed,
-                    "an emitted event must not depend on bytes past the fed window"
-                );
-                let closing = match self.slot {
-                    Slot::Text => false,
-                    Slot::SrcText { .. } => {
-                        // Commit the window borrow on the spot, as a
-                        // recording fill would.
-                        self.src.consume(self.defer_consume);
-                        self.defer_consume = 0;
-                        false
-                    }
-                    Slot::StackTop => {
-                        *depth += 1;
-                        false
-                    }
-                    Slot::StartName => {
-                        // Self-closing start: its End is queued in pending
-                        // and brings the depth back down when counted.
-                        *depth += 1;
-                        false
-                    }
-                    Slot::EndName => {
-                        // General-path end tag: parse_tag already popped.
-                        if *depth == 1 {
-                            true
-                        } else {
-                            *depth -= 1;
-                            false
-                        }
-                    }
-                    Slot::StackPop => {
-                        if *depth == 1 {
-                            true
-                        } else {
-                            // Commit the deferred pop, as a recording fill
-                            // would.
-                            let (off, _) = self.stack.pop().expect("open element for end slot");
-                            self.stack_buf.truncate(off as usize);
-                            *depth -= 1;
-                            false
-                        }
-                    }
-                    Slot::Pending(i) => {
-                        match self.pending.get(i).expect("pending index in range") {
-                            ResolvedEvent::Start(..) => {
-                                *depth += 1;
-                                false
-                            }
-                            ResolvedEvent::End(..) => {
-                                if *depth == 1 {
-                                    true
-                                } else {
-                                    *depth -= 1;
-                                    false
-                                }
-                            }
-                            ResolvedEvent::Text(_) => false,
-                        }
-                    }
-                    Slot::None => unreachable!("slot set before interpret"),
-                };
-                if closing {
-                    // The event closing the subtree is already parsed (and
-                    // any stack pop committed): hand it back on the tape
-                    // for normal delivery instead of rolling back.
-                    self.record(tape);
-                    return Ok(Some(SkipPoll::Closed { events: *events }));
-                }
-                self.slot = Slot::None;
-                *events += 1;
-                Ok(None)
-            }
-            Ok(false) if self.src.hit_end && !self.src.closed => {
-                self.restore(cp);
-                Ok(Some(SkipPoll::More { events: *events, depth: *depth }))
-            }
-            Ok(false) => unreachable!("a document cannot end inside a skipped subtree"),
-            Err(_) if self.src.hit_end && !self.src.closed => {
-                self.restore(cp);
-                Ok(Some(SkipPoll::More { events: *events, depth: *depth }))
-            }
-            Err(e) => Err(e),
         }
     }
 

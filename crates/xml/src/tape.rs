@@ -23,11 +23,12 @@
 //!    borrow, no half-delivered pending events) and stamps the tape with
 //!    the source window epoch.
 //! 2. **Batch** — lean constructs (plain tags, clean text) are recorded
-//!    by an in-window *burst*: a local cursor walks the structural index
-//!    without consuming, and the reader's position, offset and counters
-//!    are committed in bulk when the burst exits — at the last event
-//!    boundary, so anything non-lean falls back to the per-event
-//!    checkpoint/rollback machinery with nothing to undo. Scanner-verified
+//!    by the reader's *window walk*, the same walk that counts a skipped
+//!    subtree: a local cursor walks the structural index without
+//!    consuming, and the reader's position, offset and counters are
+//!    committed in bulk when the walk exits — at the last event boundary,
+//!    so anything non-lean falls back to one checkpointed general step
+//!    with nothing to undo. Scanner-verified
 //!    ASCII payloads — clean text runs and lean tag names — are recorded
 //!    as *window spans* (origin + length into the reader's unconsumed
 //!    buffer) and never copied; only the general path copies name bytes
@@ -185,8 +186,8 @@ impl EventTape {
     }
 
     /// True when the batch has reached its soft capacity — either the
-    /// item count or the copied-payload arena mark (see
-    /// [`TAPE_ARENA_BYTES`]).
+    /// item count or the copied-payload arena mark (32 KiB, see
+    /// `TAPE_ARENA_BYTES`).
     #[inline]
     pub fn is_full(&self) -> bool {
         self.items.len() >= TAPE_BATCH_EVENTS || self.arena.len() >= TAPE_ARENA_BYTES

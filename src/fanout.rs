@@ -6,9 +6,8 @@
 //! documents stream past, and every document should be tokenized and
 //! walked **once**, not M times. [`SubscriptionSet`] is that compile step
 //! at the facade level: it takes a [`QueryRegistry`] (or an explicit
-//! subset of it), unifies the per-query symbol tables over the shared DTD,
-//! and merges the per-query automata into one
-//! [`FanoutPlan`](flux_engine::FanoutPlan) with per-query accept sets.
+//! subset of it) and unifies the per-query symbol tables over the shared
+//! DTD into one [`FanoutPlan`](flux_engine::FanoutPlan).
 //! [`SubscriptionSet::session`] then opens a [`SharedSession`]: one
 //! incremental parse fanned out to M subscriptions, each with its own
 //! sink, its own statistics, its own budget charges and its own failure
@@ -28,8 +27,9 @@ use crate::api::QueryRegistry;
 use crate::error::FluxError;
 use crate::runtime::SharedSession;
 
-/// A set of prepared queries compiled into one shared single-pass plan.
-/// See the [module docs](self).
+/// A set of prepared queries compiled into one shared single-pass plan: one
+/// parse serves every subscription, and the set snapshots the registry it
+/// was compiled from ([`SubscriptionSet::is_current`]).
 #[derive(Clone)]
 pub struct SubscriptionSet {
     plan: Arc<FanoutPlan>,
@@ -100,8 +100,8 @@ impl SubscriptionSet {
         self.ids.is_empty()
     }
 
-    /// The merged engine-level plan (union symbol table, shared matcher,
-    /// per-subscription compiled queries).
+    /// The merged engine-level plan (union symbol table, per-subscription
+    /// compiled queries).
     pub fn plan(&self) -> &FanoutPlan {
         &self.plan
     }
@@ -176,7 +176,6 @@ impl std::fmt::Debug for SubscriptionSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SubscriptionSet")
             .field("ids", &self.ids)
-            .field("matcher_nodes", &self.plan.matcher().node_count())
             .field("reused_plans", &self.plan.reused_plans())
             .finish()
     }

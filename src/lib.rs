@@ -7,7 +7,7 @@
 //! The pieces (see `DESIGN.md` for the full inventory):
 //!
 //! * [`xml`] — streaming XML parser/serializer, DOM trees, XSAX attribute
-//!   conversion, and the [`Sink`] output abstraction.
+//!   conversion, and the [`Sink`](xml::Sink) output abstraction.
 //! * [`dtd`] — DTDs, Glushkov automata, order constraints `Ord_ρ(a,b)`,
 //!   `first-past` punctuation.
 //! * [`query`] — the XQuery− fragment: AST, parser, normal form (Figure 1),

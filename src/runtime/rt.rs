@@ -49,6 +49,7 @@
 //! source-side flow control.
 
 use std::collections::{HashMap, VecDeque};
+use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -255,7 +256,7 @@ struct Slot {
 }
 
 /// N single-threaded session multiplexers on N worker threads — see the
-/// [module docs](self).
+/// [runtime docs](crate::runtime).
 pub struct Runtime<S: Sink + Send + 'static> {
     workers: Vec<WorkerHandle<S>>,
     events: Receiver<(Instant, RuntimeEvent<S>)>,
@@ -266,40 +267,52 @@ pub struct Runtime<S: Sink + Send + 'static> {
     live: usize,
 }
 
-/// Configuration for a [`Runtime`]: shard count plus the optional budget,
-/// suspend policy, metrics registry and tracer — built with
-/// [`Runtime::builder`]. The named `Runtime::with_*` constructors cover
-/// the common combinations; the builder is the full surface (and the only
-/// way to attach observability).
-pub struct RuntimeBuilder {
+/// Configuration for a [`Runtime`] with sink type `S`: shard count plus
+/// the optional budget, suspend policy, metrics registry and tracer —
+/// built with [`Runtime::builder`].
+pub struct RuntimeBuilder<S> {
     shards: usize,
     budget: Option<Arc<dyn BudgetHook>>,
     suspend: Option<SuspendPolicy>,
     metrics: Option<MetricsRegistry>,
     tracer: Option<Arc<dyn Tracer>>,
+    sink: PhantomData<fn() -> S>,
 }
 
-impl RuntimeBuilder {
+impl<S: Sink + Send + 'static> RuntimeBuilder<S> {
     /// A builder for a runtime with `shards` worker threads.
-    pub fn new(shards: usize) -> RuntimeBuilder {
-        RuntimeBuilder { shards, budget: None, suspend: None, metrics: None, tracer: None }
+    pub fn new(shards: usize) -> RuntimeBuilder<S> {
+        RuntimeBuilder {
+            shards,
+            budget: None,
+            suspend: None,
+            metrics: None,
+            tracer: None,
+            sink: PhantomData,
+        }
     }
 
     /// Charge every session against this [`AdmissionController`].
-    pub fn admission(self, admission: AdmissionController) -> RuntimeBuilder {
+    pub fn admission(self, admission: AdmissionController) -> RuntimeBuilder<S> {
         self.budget(admission.hook())
     }
 
-    /// Charge every session against an arbitrary [`BudgetHook`] (see
-    /// [`Runtime::with_budget`] for the wakeup contract wrapping hooks
-    /// must keep).
-    pub fn budget(mut self, budget: Arc<dyn BudgetHook>) -> RuntimeBuilder {
+    /// Charge every session against an arbitrary [`BudgetHook`] — the seam
+    /// for wrapping an [`AdmissionController`] with counting or logging
+    /// decoration. The hook must deliver budget-release wakeups
+    /// ([`BudgetHook::subscribe_waker`]) if it ever pauses sessions;
+    /// wrapping hooks should forward all five trait methods to the inner
+    /// controller.
+    pub fn budget(mut self, budget: Arc<dyn BudgetHook>) -> RuntimeBuilder<S> {
         self.budget = Some(budget);
         self
     }
 
-    /// Spill idle sessions to disk per `policy`.
-    pub fn suspend(mut self, policy: SuspendPolicy) -> RuntimeBuilder {
+    /// Spill idle sessions to disk per `policy`. Combined with a budget,
+    /// the spill releases a parked session's charges, so suspension is
+    /// also a pressure valve: idle sessions hand their headroom to active
+    /// ones and reclaim it (through the gate) when they wake.
+    pub fn suspend(mut self, policy: SuspendPolicy) -> RuntimeBuilder<S> {
         self.suspend = Some(policy);
         self
     }
@@ -309,7 +322,7 @@ impl RuntimeBuilder {
     /// histograms), and a configured budget hook is wrapped so
     /// grants/denials/releases count too. The registry handle stays with
     /// the caller — scrape it whenever.
-    pub fn metrics(mut self, registry: &MetricsRegistry) -> RuntimeBuilder {
+    pub fn metrics(mut self, registry: &MetricsRegistry) -> RuntimeBuilder<S> {
         self.metrics = Some(registry.clone());
         self
     }
@@ -317,13 +330,13 @@ impl RuntimeBuilder {
     /// Emit lifecycle [`TraceEvent`]s to `tracer`. Without this (and
     /// without the `trace` feature's global buffer) tracing is off and
     /// costs one branch per would-be event.
-    pub fn tracer(mut self, tracer: Arc<dyn Tracer>) -> RuntimeBuilder {
+    pub fn tracer(mut self, tracer: Arc<dyn Tracer>) -> RuntimeBuilder<S> {
         self.tracer = Some(tracer);
         self
     }
 
     /// Spawn the workers and hand back the runtime.
-    pub fn build<S: Sink + Send + 'static>(self) -> Runtime<S> {
+    pub fn build(self) -> Runtime<S> {
         Runtime::build(self)
     }
 }
@@ -442,45 +455,12 @@ impl<S: Sink + Send + 'static> Runtime<S> {
 
     /// Full configuration surface — budget, suspend policy, metrics
     /// registry, tracer — as a builder.
-    pub fn builder(shards: usize) -> RuntimeBuilder {
+    pub fn builder(shards: usize) -> RuntimeBuilder<S> {
         RuntimeBuilder::new(shards)
     }
 
-    /// A runtime with `shards` worker threads whose sessions all charge
-    /// the given [`AdmissionController`].
-    pub fn with_admission(shards: usize, admission: AdmissionController) -> Runtime<S> {
-        Runtime::with_budget(shards, admission.hook())
-    }
-
-    /// A runtime charging an arbitrary [`BudgetHook`] — the seam for
-    /// wrapping an [`AdmissionController`] with counting or logging
-    /// decoration. The hook must deliver budget-release wakeups
-    /// ([`BudgetHook::subscribe_waker`]) if it ever pauses sessions;
-    /// wrapping hooks should forward all five trait methods to the inner
-    /// controller.
-    pub fn with_budget(shards: usize, budget: Arc<dyn BudgetHook>) -> Runtime<S> {
-        RuntimeBuilder::new(shards).budget(budget).build()
-    }
-
-    /// A runtime that spills idle sessions to disk per `policy`.
-    pub fn with_suspend(shards: usize, policy: SuspendPolicy) -> Runtime<S> {
-        RuntimeBuilder::new(shards).suspend(policy).build()
-    }
-
-    /// Budget and suspend policy combined: the spill releases a parked
-    /// session's budget charges, so suspension is also a pressure valve —
-    /// idle sessions hand their headroom to active ones and reclaim it
-    /// (through the gate) when they wake.
-    pub fn with_budget_and_suspend(
-        shards: usize,
-        budget: Arc<dyn BudgetHook>,
-        policy: SuspendPolicy,
-    ) -> Runtime<S> {
-        RuntimeBuilder::new(shards).budget(budget).suspend(policy).build()
-    }
-
-    fn build(cfg: RuntimeBuilder) -> Runtime<S> {
-        let RuntimeBuilder { shards, budget, suspend, metrics, tracer } = cfg;
+    fn build(cfg: RuntimeBuilder<S>) -> Runtime<S> {
+        let RuntimeBuilder { shards, budget, suspend, metrics, tracer, sink: _ } = cfg;
         assert!(shards > 0, "a Runtime needs at least one shard");
         let tracer = tracer.or_else(default_tracer);
         // With metrics on, the configured hook is wrapped so every
@@ -2030,10 +2010,9 @@ mod tests {
         let reference = q.run_str(&d).unwrap().output;
         let bytes = d.as_bytes();
 
-        let mut rt = Runtime::with_suspend(
-            1,
-            SuspendPolicy { idle_after: Duration::from_millis(20), dir: dir.clone() },
-        );
+        let mut rt = Runtime::builder(1)
+            .suspend(SuspendPolicy { idle_after: Duration::from_millis(20), dir: dir.clone() })
+            .build();
         let id = rt.open(&q, StringSink::new());
         rt.feed(id, &bytes[..bytes.len() / 2]);
         match rt.wait_event().expect("workers alive") {
@@ -2071,10 +2050,9 @@ mod tests {
         let reference = q.run_str(&d).unwrap().output;
         let bytes = d.as_bytes();
 
-        let mut rt = Runtime::with_suspend(
-            2,
-            SuspendPolicy { idle_after: Duration::from_secs(3600), dir: dir.clone() },
-        );
+        let mut rt = Runtime::builder(2)
+            .suspend(SuspendPolicy { idle_after: Duration::from_secs(3600), dir: dir.clone() })
+            .build();
         let id = rt.open(&q, StringSink::new());
         rt.feed(id, &bytes[..bytes.len() / 2]);
         rt.suspend(id);

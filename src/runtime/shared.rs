@@ -51,7 +51,7 @@ use crate::error::FluxError;
 use crate::runtime::FeedOutcome;
 
 /// One incremental execution over 1..M subscriptions. See the
-/// [module docs](self).
+/// [runtime docs](crate::runtime).
 pub struct SharedSession<S: Sink> {
     reader: Reader<FeedSource>,
     driver: FanoutDriver<S>,
@@ -116,7 +116,7 @@ impl<S: Sink> SharedSession<S> {
     ///
     /// Returns [`FluxError::SessionAborted`] once the session has stopped
     /// ([`SharedSession::is_aborted`]): one subscriber's failure does
-    /// *not* stop the others — see the [module docs](self).
+    /// *not* stop the others.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<(), FluxError> {
         if self.is_aborted() {
             return Err(FluxError::SessionAborted);
@@ -133,8 +133,7 @@ impl<S: Sink> SharedSession<S> {
     /// — re-feed the same bytes once [`SharedSession::resume`] reports
     /// [`FeedOutcome::Accepted`]. A session whose subscribers hold charges
     /// is always admitted: its progress is what releases them. One
-    /// stalled *stream* parks all its subscribers — the stream-level
-    /// stall semantics pinned in the [module docs](self).
+    /// stalled *stream* parks all its subscribers.
     pub fn feed_outcome(&mut self, chunk: &[u8]) -> Result<FeedOutcome, FluxError> {
         if self.is_aborted() {
             return Err(FluxError::SessionAborted);
