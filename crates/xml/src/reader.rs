@@ -1256,7 +1256,7 @@ pub enum TapeFill {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipPoll {
     /// The subtree is fully scanned past: `events` interior events were
-    /// skipped, and the end tag closing it is next — still unconsumed (the
+    /// skipped, and the end tag closing it is next — still undelivered (the
     /// next [`Reader::fill_tape`] batch opens with it), unless the general
     /// machinery had already committed it, in which case it is the single
     /// event on the tape passed in (drain it before the next fill).
@@ -1295,8 +1295,8 @@ enum Step {
     End,
 }
 
-/// How a lean window walk ([`Reader::walk`]) ended. Every exit leaves the
-/// reader committed at the last event boundary.
+/// How a lean window walk ([`Reader::walk`]) ended. Every exit but
+/// `Closed` leaves the reader committed at the last event boundary.
 enum Exit {
     /// A construct the walk does not handle (attributes, entities,
     /// comments, CDATA, window-crossing constructs, the root's end tag,
@@ -1307,9 +1307,9 @@ enum Exit {
     /// No `<` between the boundary and the end of a still-open window:
     /// nothing can complete before more bytes arrive.
     NoLt,
-    /// The next end tag closes the walk (a skip at depth 1), still
-    /// unconsumed — or, on a tag mismatch, its error surfaces when it is
-    /// parsed.
+    /// The next end tag closes the walk (a skip at depth 1): the reader
+    /// stops just past its `<`, and the next step delivers the tag — or,
+    /// on a mismatch, its error.
     Closed,
 }
 
@@ -1591,12 +1591,13 @@ impl Reader<FeedSource> {
     /// The loop touches no reader state it might have to undo: stack
     /// pushes and pops happen only *at* event boundaries, and position,
     /// offset, `in_tag` and the fast-path byte counter are committed in
-    /// bulk at the exit, at the last event boundary `(b_lpos, b_in_tag)`.
-    /// Non-event progress past it (a dropped whitespace run, the `<`
-    /// opening a tag) is left to be re-read: a window-exhausted exit is
-    /// exactly the state a per-event poll reports `NeedMoreData` from, and
-    /// a fallback step re-reads those bytes on the path — and into the
-    /// counters — per-event delivery would.
+    /// bulk at the exit, at the last event boundary `(b_lpos, b_in_tag)`
+    /// (a closing walk keeps the closing tag's `<`). Non-event progress
+    /// past the boundary (a dropped whitespace run, the `<` opening a tag)
+    /// is left to be re-read: a window-exhausted exit is exactly the state
+    /// a per-event poll reports `NeedMoreData` from, and a fallback step
+    /// re-reads those bytes on the path — and into the counters —
+    /// per-event delivery would.
     ///
     /// The caller starts the walk inside the root with no queued events.
     /// Lean end tags are gated to `stack.len() >= 2`, so closing the root
@@ -1647,16 +1648,13 @@ impl Reader<FeedSource> {
                 if any_hi || any_amp {
                     break 'burst Exit::Fallback; // entities / non-ASCII: decode path
                 }
-                let event = any_nonws || keep_ws;
-                if event {
+                if any_nonws || keep_ws {
                     lean.event(TapeKind::Text, NameId::UNKNOWN, start + lpos, p - lpos);
+                    b_lpos = p + 1;
+                    b_in_tag = true;
                 }
                 lpos = p + 1;
                 in_tag = true;
-                if event {
-                    b_lpos = lpos;
-                    b_in_tag = true;
-                }
                 continue 'burst;
             }
             // ---- tag step: mirrors `fast_tag` ----
