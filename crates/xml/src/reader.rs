@@ -1796,10 +1796,10 @@ impl Reader<FeedSource> {
             let run = &self.src.buf[it.off as usize..(it.off + it.len) as usize];
             debug_assert!(run.is_ascii(), "window spans are scanner-verified ASCII");
             // SAFETY: window spans are recorded only for scanner-verified
-            // ASCII bytes — clean `SrcText` runs and the name bytes of lean
-            // burst tags (first byte ASCII-checked, rest a `name_run`); the
-            // buffer is not compacted between record and drain
-            // (epoch-checked above).
+            // ASCII bytes — clean text runs and the name bytes of tags the
+            // window walk took (first byte ASCII-checked, rest a
+            // `name_run`); the buffer is not compacted between record and
+            // drain (epoch-checked above).
             unsafe { std::str::from_utf8_unchecked(run) }
         } else {
             tape.arena_str(it.off, it.len)
